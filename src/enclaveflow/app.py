@@ -17,6 +17,7 @@ from typing import Any, Callable, Sequence
 
 from .attest import Monitor, compute_measurement
 from .errors import (
+    IFC_VIOLATION_MESSAGE,
     DecodeError,
     ErrorCode,
     IfcViolation,
@@ -44,16 +45,13 @@ __all__ = [
     "SecureRef",
     "EnclaveStub",
     "App",
-    "apply_arg",
     "DirectChannel",
     "run_app",
 ]
 
 ENCLAVE_ROLE = "enclave"
 
-_IFC_VIOLATION_RESPONSE = encode_result_err(
-    ErrorCode.IFC_VIOLATION, "information flow violation"
-)
+_IFC_VIOLATION_RESPONSE = encode_result_err(ErrorCode.IFC_VIOLATION, IFC_VIOLATION_MESSAGE)
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,6 @@ class SecureRef:
                 f"function takes {self.arity} argument(s); all already applied"
             )
         return replace(self, args=self.args + (encode_value(v),))
-
-
-def apply_arg(s: SecureRef, v: Value) -> SecureRef:
-    return s.apply(v)
 
 
 class EnclaveStub:
@@ -361,18 +355,19 @@ def run_app(
     if role != ENCLAVE_ROLE and role not in app.client_names:
         raise UsageError(f"unknown role {role!r}")
     if role == ENCLAVE_ROLE:
+        measurement = app.measurement(config_bytes)
         app.monitor = Monitor(
             host,
             port,
             app.dispatch,
-            measurement=app.measurement(config_bytes),
+            measurement=measurement,
             authority_private=authority_private,
             credentials=credentials,
             attested=attested,
             verify_client=verify_client,
         )
         if on_listening is not None:
-            on_listening(app.monitor, app.measurement(config_bytes))
+            on_listening(app.monitor, measurement)
         if serve:
             app.monitor.serve_forever()
     else:

@@ -48,7 +48,15 @@ from .errors import (
     ErrorCode,
     TransportError,
 )
-from .wire import ResultErr, decode_message, encode_result_err
+from .wire import (
+    MSG_RESULT_ERR,
+    TAG_STRING,
+    ResultErr,
+    decode_message,
+    encode_result_err,
+    encode_value,
+    read_value,
+)
 
 __all__ = [
     "MSG_CLIENT_HELLO",
@@ -198,30 +206,21 @@ def _derive_sessions(
 # --- handshake --------------------------------------------------------------------
 
 
-def _encode_string(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return b"\x05" + _U32.pack(len(raw)) + raw
-
-
 def _hello_body(nonce: bytes, name: str, eph_pub: bytes, sig: bytes) -> bytes:
-    return bytes([MSG_CLIENT_HELLO]) + nonce + _encode_string(name) + eph_pub + sig
+    return bytes([MSG_CLIENT_HELLO]) + nonce + encode_value(name) + eph_pub + sig
 
 
 def _parse_hello(body: bytes) -> tuple[bytes, str, bytes, bytes]:
     if len(body) < 1 + 32 + 5 + 32 + 64 or body[0] != MSG_CLIENT_HELLO:
         raise DecodeError("malformed hello")
-    nonce = body[1:33]
-    if body[33] != 0x05:
+    # the peer is not yet authenticated: refuse any other value type before
+    # decoding, or one hello could make us build a 16 MiB list
+    if body[33] != TAG_STRING:
         raise DecodeError("malformed hello name")
-    (ln,) = _U32.unpack(body[34:38])
-    end = 38 + ln
+    name, end = read_value(body, 33)
     if len(body) != end + 32 + 64:
         raise DecodeError("malformed hello length")
-    try:
-        name = body[38:end].decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DecodeError("hello name is not UTF-8") from e
-    return nonce, name, body[end : end + 32], body[end + 32 :]
+    return body[1:33], name, body[end : end + 32], body[end + 32 :]
 
 
 def _attest_body(eph_pub: bytes, measurement: bytes, report_data: bytes, sig: bytes) -> bytes:
@@ -258,7 +257,7 @@ def handshake_client(
     send_frame(sock, hello)
 
     reply = recv_frame(sock)
-    if reply and reply[0] == 0x03:  # pre-session RESULT_ERR (e.g. auth refusal)
+    if reply and reply[0] == MSG_RESULT_ERR:  # pre-session refusal (e.g. auth)
         msg = decode_message(reply)
         assert isinstance(msg, ResultErr)
         if msg.code == ErrorCode.AUTH_FAILURE:

@@ -45,7 +45,6 @@ __all__ = [
     "row_to_value",
     "row_from_value",
     "provider_label",
-    "extract_org_name",
     "unlabel_row",
     "psi_mean_age",
     "encrypt_result",
@@ -98,28 +97,16 @@ def provider_label(name: str) -> DCLabel:
     return DCLabel(once, once)
 
 
-def extract_org_name(label: DCLabel) -> str | None:
-    """The sole owner of a secrecy CNF that is exactly one singleton
-    clause; None for anything fancier."""
-    clauses = label.secrecy.clauses
-    if len(clauses) != 1:
-        return None
-    principals = next(iter(clauses)).principals
-    if len(principals) != 1:
-        return None
-    return next(iter(principals)).name
-
-
 def unlabel_row(
     ctx: IfcContext, p1: Privilege, p2: Privilege, lrow: LabeledValue
 ) -> Row:
     """Open one stored row.  Rows owned by either provider are opened with
     that provider's privilege so their clause never taints the context; any
     other label falls through to a plain unlabel and the context floats."""
-    owner = extract_org_name(lrow.label)
-    if owner is not None and owner == p1.sole_principal():
+    owner = lrow.label.secrecy.sole_principal()
+    if owner is not None and owner == p1.description.sole_principal():
         raw = ctx.unlabel_p(p1, lrow)
-    elif owner is not None and owner == p2.sole_principal():
+    elif owner is not None and owner == p2.description.sole_principal():
         raw = ctx.unlabel_p(p2, lrow)
     else:
         raw = ctx.unlabel(lrow)
@@ -224,7 +211,7 @@ def build_cleanroom_program(cfg: CleanRoomConfig) -> Callable[[App], None]:
         db = app.labeled_ref(DC_PUBLIC, [])
         p1 = Privilege.for_principal(cfg.provider_a)
         p2 = Privilege.for_principal(cfg.provider_b)
-        template = IfcContext.default_state(EMPTY_PRIVILEGE)
+        template = IfcContext(EMPTY_PRIVILEGE)
 
         def datasend(ctx: IfcContext, lrow: LabeledValue) -> None:
             row_from_value(decode_value(lrow.payload))  # validate, stays labeled
@@ -239,14 +226,14 @@ def build_cleanroom_program(cfg: CleanRoomConfig) -> Callable[[App], None]:
             stored = ctx.read_ref(db)
             counts = {cfg.provider_a: 0, cfg.provider_b: 0}
             for lrow in stored:
-                owner = extract_org_name(lrow.label)
+                owner = lrow.label.secrecy.sole_principal()
                 if owner in counts:
                     counts[owner] += 1
             for name, have in counts.items():
                 if have < cfg.thresholds.get(name, 1):
                     raise NotReady(f"{name} below threshold")
             tagged = [
-                (extract_org_name(lrow.label), unlabel_row(ctx, p1, p2, lrow))
+                (lrow.label.secrecy.sole_principal(), unlabel_row(ctx, p1, p2, lrow))
                 for lrow in stored
             ]
             result = psi_mean_age(tagged, cfg.provider_a, cfg.provider_b)

@@ -15,14 +15,12 @@ Exit codes: 0 ok, 1 internal error, 2 usage, 3 attestation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
-import select
 import socket
 import statistics
-import subprocess
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, fields
@@ -106,7 +104,6 @@ class RunConfig:
     attestation: bool = True
     client_sig: bool = True
     per_call_handshake: bool = False
-    iterations: int = 50
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -127,8 +124,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.app not in APPS:
             raise UsageError(f"app must be one of {', '.join(APPS)}")
-        if self.iterations < 1:
-            raise UsageError("iterations must be >= 1")
         if len(self.providers) != 2:
             raise UsageError("exactly two providers are supported")
         if not self.attestation and self.client_sig:
@@ -142,8 +137,6 @@ def _overlay_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.app = args.app
     if getattr(args, "port", None) is not None:
         cfg.port = args.port
-    if getattr(args, "iterations", None) is not None:
-        cfg.iterations = args.iterations
     if getattr(args, "no_ifc", False):
         cfg.ifc = False
     if getattr(args, "no_attestation", False):
@@ -195,7 +188,7 @@ def build_password_program(
         svc = Privilege.for_principal(SERVICE_PRINCIPAL)
         once = cnf_from_principal(SERVICE_PRINCIPAL)
         stored = app.labeled_constant(DCLabel(once, once), secret)
-        template = IfcContext.default_state(svc)
+        template = IfcContext(svc)
 
         def checkpwd(ctx: IfcContext, guess: str) -> bool:
             pwd = ctx.unlabel_p(ctx.get_privilege(), stored)
@@ -225,7 +218,7 @@ def build_leaky_program(secret: str = "s3cr3t-token") -> Callable[[App], None]:
     def program(app: App) -> None:
         once = cnf_from_principal(SERVICE_PRINCIPAL)
         stored = app.labeled_constant(DCLabel(once, once), secret)
-        template = IfcContext.default_state(EMPTY_PRIVILEGE)
+        template = IfcContext(EMPTY_PRIVILEGE)
 
         def leak(ctx: IfcContext) -> str:
             return ctx.unlabel(stored)
@@ -448,153 +441,70 @@ BENCH_CONFIGS: list[tuple[str, bool, bool, bool]] = [
 ]
 
 
-def _read_listening_line(proc: subprocess.Popen, timeout: float = 15.0) -> tuple[str, int, str]:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise TransportError(f"enclave exited early with status {proc.returncode}")
-        ready, _, _ = select.select([proc.stdout], [], [], 0.2)
-        if not ready:
-            continue
-        line = proc.stdout.readline().decode()
-        if not line:
-            raise TransportError("enclave closed stdout before announcing")
-        parts = line.split()
-        if len(parts) == 5 and parts[0] == "ENCLAVE" and parts[1] == "LISTENING":
-            return parts[2], int(parts[3]), parts[4]
-    raise TransportError("timed out waiting for the enclave to listen")
-
-
-def _spawn_enclave(config_path: Path, *, attested: bool, client_sig: bool, ifc: bool) -> subprocess.Popen:
-    cmd = [
-        sys.executable,
-        "-m",
-        "enclaveflow.cli",
-        "enclave",
-        "--config",
-        str(config_path),
-        "--port",
-        "0",
-    ]
-    if not ifc:
-        cmd.append("--no-ifc")
-    if not attested:
-        cmd.append("--no-attestation")
-    if not client_sig:
-        cmd.append("--no-client-sig")
-    return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-
-
-def _bench_one(
-    cfg: RunConfig,
-    config_path: Path,
-    label: str,
-    attested: bool,
-    client_sig: bool,
-    ifc: bool,
-) -> tuple[list[float], bytes]:
-    proc = _spawn_enclave(config_path, attested=attested, client_sig=client_sig, ifc=ifc)
-    try:
-        host, port, announced = _read_listening_line(proc)
-        expected = _probe_measurement(cfg)
-        if attested and announced != expected.hex():
-            raise TransportError(f"{label}: enclave measurement does not match this build")
-        authority_public = (
-            load_signing_public(cfg.authority_public) if attested else None
-        )
-        signing_key = (
-            load_signing_private(cfg.signing_keys["user"]) if client_sig else None
-        )
-        request = encode_call(0, [cfg.password])
-
-        def one_call() -> tuple[float, bytes]:
-            t0 = time.perf_counter()
-            channel = connect_channel(
-                host,
-                port,
-                attested=attested,
-                client_name="user",
-                signing_key=signing_key,
-                expected_measurement=expected,
-                authority_public=authority_public,
-            )
-            try:
-                channel.send_message(request)
-                raw = channel.recv_message()
-            finally:
-                channel.close()
-            elapsed_ms = (time.perf_counter() - t0) * 1e3
-            if decode_message(raw) != ResultOk(True):
-                raise TransportError(f"{label}: unexpected bench reply")
-            return elapsed_ms, raw
-
-        for _ in range(3):  # warm the stack before sampling
-            one_call()
-        samples = []
-        raw = b""
-        for _ in range(cfg.iterations):
-            elapsed_ms, raw = one_call()
-            samples.append(elapsed_ms)
-        return samples, raw
-    finally:
-        proc.terminate()
-        proc.wait(timeout=10)
-        proc.stdout.close()
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    iterations = args.iterations if args.iterations is not None else 50
-    if iterations < 1:
+    if args.iterations < 1:
         raise UsageError("iterations must be >= 1")
-    with tempfile.TemporaryDirectory(prefix="bench-keys-") as tmp:
-        tmpdir = Path(tmp)
-        provision = argparse.Namespace(
-            out=str(tmpdir / "keys"), clients="user", exchange="", force=False
-        )
-        stdout, sys.stdout = sys.stdout, open("/dev/null", "w")  # keep CSV clean
-        try:
-            cmd_provision(provision)
-        finally:
-            sys.stdout.close()
-            sys.stdout = stdout
-        keys = tmpdir / "keys"
-        cfg = RunConfig(
-            app="password-checker",
-            iterations=iterations,
-            authority_private=str(keys / "authority_private.hex"),
-            authority_public=str(keys / "authority_public.hex"),
-            client_keys={"user": str(keys / "user_signing_public.hex")},
-            signing_keys={"user": str(keys / "user_signing_private.hex")},
-        )
-        config_path = tmpdir / "bench.json"
-        config_path.write_text(
-            json.dumps(
-                {
-                    "app": cfg.app,
-                    "authority_private": cfg.authority_private,
-                    "authority_public": cfg.authority_public,
-                    "client_keys": cfg.client_keys,
-                    "signing_keys": cfg.signing_keys,
-                }
-            )
-        )
+    cfg = RunConfig(app="password-checker")
+    authority = gen_signing_key()
+    user_key = gen_signing_key()
+    credentials = {"user": user_key.public_key()}
+    request = encode_call(0, [cfg.password])
 
-        payloads: dict[str, bytes] = {}
-        rows = []
+    def one_call(label: str, connect) -> tuple[float, bytes]:
+        t0 = time.perf_counter()
+        channel = connect()
+        try:
+            channel.send_message(request)
+            raw = channel.recv_message()
+        finally:
+            channel.close()
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        if decode_message(raw) != ResultOk(True):
+            raise TransportError(f"{label}: unexpected bench reply")
+        return elapsed_ms, raw
+
+    apps = []
+    connects = []
+    try:
         for label, attested, client_sig, ifc in BENCH_CONFIGS:
-            samples, raw = _bench_one(
-                cfg, config_path, label, attested, client_sig, ifc
+            app, meas = _serve_inprocess(
+                cfg, authority, credentials, attested=attested, verify_client=client_sig, ifc=ifc
             )
-            payloads[label] = raw
-            mean = statistics.fmean(samples)
-            stddev = statistics.stdev(samples) if len(samples) > 1 else 0.0
-            rows.append((label, mean, stddev, len(samples)))
-        if payloads["ifc-on"] != payloads["ifc-off"]:
-            raise TransportError("ifc-on and ifc-off produced different result payloads")
+            apps.append(app)
+            connects.append(
+                functools.partial(
+                    connect_channel,
+                    "127.0.0.1",
+                    app.monitor.port,
+                    attested=attested,
+                    client_name="user",
+                    signing_key=user_key if client_sig else None,
+                    expected_measurement=meas,
+                    authority_public=authority.public_key(),
+                )
+            )
+
+        # Round-robin: one call per config per round, so drift in machine
+        # speed lands on every config alike.  The first rounds warm the stack.
+        warmup = 3
+        samples: dict[str, list[float]] = {label: [] for label, *_ in BENCH_CONFIGS}
+        payloads: dict[str, bytes] = {}
+        for round_no in range(warmup + args.iterations):
+            for (label, *_), connect in zip(BENCH_CONFIGS, connects):
+                elapsed_ms, payloads[label] = one_call(label, connect)
+                if round_no >= warmup:
+                    samples[label].append(elapsed_ms)
+    finally:
+        for app in apps:
+            app.monitor.stop()
+    if payloads["ifc-on"] != payloads["ifc-off"]:
+        raise TransportError("ifc-on and ifc-off produced different result payloads")
 
     print("config,mean_ms,stddev_ms,samples")
-    for label, mean, stddev, n in rows:
-        print(f"{label},{mean:.3f},{stddev:.3f},{n}")
+    for label, *_ in BENCH_CONFIGS:
+        runs = samples[label]
+        stddev = statistics.stdev(runs) if len(runs) > 1 else 0.0
+        print(f"{label},{statistics.fmean(runs):.3f},{stddev:.3f},{len(runs)}")
     return EXIT_OK
 
 
@@ -602,8 +512,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _serve_inprocess(
-    cfg: RunConfig, authority_private, credentials, *, verify_client: bool
+    cfg: RunConfig,
+    authority_private,
+    credentials,
+    *,
+    verify_client: bool,
+    attested: bool = True,
+    ifc: bool = True,
 ) -> tuple[App, bytes]:
+    """Stage and serve ``cfg``'s enclave on a daemon thread of this
+    process; returns the app and the measurement clients must pin."""
     app = run_app(
         ENCLAVE_ROLE,
         _build_program(cfg, ENCLAVE_ROLE),
@@ -612,11 +530,13 @@ def _serve_inprocess(
         port=0,
         authority_private=authority_private,
         credentials=credentials,
+        attested=attested,
         verify_client=verify_client,
+        ifc_enforce=ifc,
         serve=False,
     )
     threading.Thread(target=app.monitor.serve_forever, daemon=True).start()
-    return app, app.measurement(_measurement_config_bytes(cfg))
+    return app, app.monitor.measurement
 
 
 def _one_shot_proxy(
@@ -865,7 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_client)
 
     p = sub.add_parser("bench", help="latency table as CSV")
-    p.add_argument("--iterations", type=int, help="samples per configuration (default 50)")
+    p.add_argument(
+        "--iterations", type=int, default=50, help="samples per configuration (default 50)"
+    )
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("attack", help="run the adversarial drills")

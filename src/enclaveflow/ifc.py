@@ -51,10 +51,6 @@ class IfcContext:
     output: DCLabel = field(default=DC_PUBLIC)
     enforce: bool = True
 
-    @classmethod
-    def default_state(cls, privilege: Privilege, enforce: bool = True) -> "IfcContext":
-        return cls(privilege=privilege, enforce=enforce)
-
     def clone(self) -> "IfcContext":
         """A fresh context for one call, sharing no mutable state."""
         return IfcContext(

@@ -94,6 +94,16 @@ class CNF:
     def is_false(self) -> bool:
         return len(self.clauses) == 1 and not next(iter(self.clauses)).principals
 
+    def sole_principal(self) -> str | None:
+        """The single principal name, when the formula is exactly one
+        singleton clause; None otherwise."""
+        if len(self.clauses) != 1:
+            return None
+        only = next(iter(self.clauses))
+        if len(only.principals) != 1:
+            return None
+        return next(iter(only.principals)).name
+
     def __repr__(self) -> str:
         if self.is_true():
             return "True"
@@ -190,16 +200,6 @@ class Privilege:
     @classmethod
     def for_principal(cls, name: str) -> "Privilege":
         return cls(cnf_from_principal(name))
-
-    def sole_principal(self) -> str | None:
-        """The single principal name, when the description is exactly one
-        singleton clause; None otherwise."""
-        if len(self.description.clauses) != 1:
-            return None
-        only = next(iter(self.description.clauses))
-        if len(only.principals) != 1:
-            return None
-        return next(iter(only.principals)).name
 
     def __repr__(self) -> str:
         return f"Privilege({self.description!r})"

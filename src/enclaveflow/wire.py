@@ -34,7 +34,6 @@ __all__ = [
     "decode_value",
     "read_value",
     "make_labeled",
-    "unwrap_labeled",
     "CallMessage",
     "ResultOk",
     "ResultErr",
@@ -102,10 +101,6 @@ def encode_value(v: Value) -> bytes:
 def make_labeled(label: DCLabel, v: Value) -> LabeledValue:
     """Attach a label to a value, storing the payload pre-encoded."""
     return LabeledValue(label, encode_value(v))
-
-
-def unwrap_labeled(lv: LabeledValue) -> Value:
-    return decode_value(lv.payload)
 
 
 def read_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Value, int]:

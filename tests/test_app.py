@@ -12,7 +12,6 @@ from enclaveflow.app import (
     DirectChannel,
     EnclaveStub,
     SecureRef,
-    apply_arg,
     run_app,
 )
 from enclaveflow.attest import connect_channel, gen_signing_key
@@ -41,7 +40,7 @@ from enclaveflow.wire import (
 
 ALICE = DCLabel(cnf_from_principal("Alice"), CNF_TRUE)
 ALICE_BOTH = DCLabel(cnf_from_principal("Alice"), cnf_from_principal("Alice"))
-PLAIN = IfcContext.default_state(EMPTY_PRIVILEGE)
+PLAIN = IfcContext(EMPTY_PRIVILEGE)
 
 
 def add(ctx, a, b):
@@ -127,7 +126,7 @@ def test_client_name_validation():
 def test_apply_collects_encoded_args_in_order():
     s = SecureRef(call_id=7, arity=2)
     s1 = s.apply(5)
-    s2 = apply_arg(s1, "x")
+    s2 = s1.apply("x")
     assert s.args == ()  # immutable: originals untouched
     assert s2.args == (encode_value(5), encode_value("x"))
 
@@ -296,7 +295,7 @@ def test_dispatch_fresh_context_per_call():
         ctx.taint_p(ctx.get_privilege(), ALICE)
         return True
 
-    template = IfcContext.default_state(Privilege.for_principal("Alice"))
+    template = IfcContext(Privilege.for_principal("Alice"))
     app = enclave_app(lambda a: a.enclave_fn(template, taint_and_count, ()))
     for _ in range(3):  # no taint accumulates across calls
         assert decode_message(app.dispatch(encode_call(0, []))) == ResultOk(True)
@@ -340,7 +339,7 @@ def password_program(results: dict):
 
     def program(app: App):
         priv = Privilege.for_principal("Alice")
-        template = IfcContext.default_state(priv)
+        template = IfcContext(priv)
         pwd = app.labeled_constant(ALICE_BOTH, "hunter2")
 
         def checkpwd(ctx: IfcContext, guess: str) -> bool:

@@ -35,9 +35,16 @@ from enclaveflow.errors import (
     AuthFailure,
     CryptoError,
     DecodeError,
+    ErrorCode,
     TransportError,
 )
-from enclaveflow.wire import CallMessage, decode_message, encode_call, encode_result_ok
+from enclaveflow.wire import (
+    CallMessage,
+    ResultErr,
+    decode_message,
+    encode_call,
+    encode_result_ok,
+)
 
 AUTHORITY = gen_signing_key()
 AUTHORITY_PUB = AUTHORITY.public_key()
@@ -410,18 +417,29 @@ def test_monitor_serves_calls_and_sequential_connections():
         t.join()
 
 
-def test_monitor_survives_garbage_then_serves():
+def _hello(name_field: bytes) -> bytes:
+    # type byte, nonce, name field, ephemeral key, signature
+    return b"\x10" + bytes(32) + name_field + bytes(32) + bytes(64)
+
+
+@pytest.mark.parametrize(
+    "garbage",
+    [
+        b"junk!",
+        _hello(b"\x08" + struct.pack(">I", 5) + b"Alice"),  # bytes tag, not string
+        _hello(b"\x05" + struct.pack(">I", 6) + b"Alice"),  # length runs into the key
+        _hello(b"\x05" + struct.pack(">I", 5) + b"\xffAlic"),  # not UTF-8
+    ],
+    ids=["junk", "wrong-name-tag", "lying-name-length", "non-utf8-name"],
+)
+def test_monitor_survives_garbage_then_serves(garbage):
     mon, t = start_monitor()
     try:
         raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
-        raw.sendall(struct.pack(">I", 5) + b"junk!")
-        # server drops us: either EOF or an error frame, then close
-        raw.settimeout(5)
-        try:
-            while raw.recv(4096):
-                pass
-        except OSError:
-            pass
+        send_frame(raw, garbage)
+        assert decode_message(recv_frame(raw)) == ResultErr(
+            ErrorCode.DECODE_ERROR, "malformed hello"
+        )
         raw.close()
         ch = client_channel(mon)  # still serving
         ch.send_message(encode_call(3, []))

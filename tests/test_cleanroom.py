@@ -15,7 +15,6 @@ from enclaveflow.cleanroom import (
     build_cleanroom_program,
     decrypt_result,
     encrypt_result,
-    extract_org_name,
     format_result,
     load_rows_csv,
     provider_label,
@@ -97,16 +96,9 @@ def test_provider_label_shape():
     assert lab.secrecy == cnf({"P1"}) and lab.integrity == cnf({"P1"})
 
 
-def test_extract_org_name():
-    assert extract_org_name(provider_label("P1")) == "P1"
-    assert extract_org_name(DC_PUBLIC) is None
-    assert extract_org_name(DCLabel(cnf({"P1"}, {"P2"}), CNF_TRUE)) is None  # joint
-    assert extract_org_name(DCLabel(cnf({"P1", "P2"}), CNF_TRUE)) is None  # either
-
-
 def test_unlabel_row_owned_labels_keep_context_public():
     for owner, label in (("P1", provider_label("P1")), ("P2", provider_label("P2"))):
-        ctx = IfcContext.default_state(EMPTY_PRIVILEGE)
+        ctx = IfcContext(EMPTY_PRIVILEGE)
         lrow = make_labeled(label, ["alpha", 30])
         assert unlabel_row(ctx, P1, P2, lrow) == Row("alpha", 30)
         assert ctx.current == DC_PUBLIC, owner
@@ -117,7 +109,7 @@ def test_unlabel_row_foreign_labels_float():
     joint = DCLabel(cnf({"P1"}, {"P2"}), CNF_TRUE)
     stranger = provider_label("P3")
     for label in (joint, stranger):
-        ctx = IfcContext.default_state(EMPTY_PRIVILEGE)
+        ctx = IfcContext(EMPTY_PRIVILEGE)
         unlabel_row(ctx, P1, P2, make_labeled(label, ["alpha", 30]))
         assert not ctx.output_gate(), label
 

@@ -49,7 +49,6 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_rejects_bad_values(tmp_path):
     for raw in (
         {"app": "wordle"},
-        {"iterations": 0},
         {"attestation": False},  # leaves client_sig on
         {"providers": ["P1"]},
     ):
@@ -212,6 +211,21 @@ def test_password_checker_over_the_wire(tmp_path):
         assert aborted.returncode == 3
         assert b"Login returned" not in aborted.stdout
         assert b"measurement-mismatch" in aborted.stderr
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+def test_password_checker_unattested_over_the_wire(tmp_path):
+    config = tmp_path / "plain.json"
+    config.write_text(json.dumps({"app": "password-checker"}))
+    plain = ("--no-attestation", "--no-client-sig")
+    proc, port, _ = spawn_enclave(config, "--no-ifc", *plain)
+    try:
+        result = run_client(config, "user", "--port", str(port), *plain, stdin="password\n")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == b"Login returned True\n"
     finally:
         proc.terminate()
         proc.wait(timeout=10)

@@ -276,11 +276,11 @@ def test_gate_reopens_after_privileged_unlabel():
     assert ctx.output_gate()
 
 
-# --- default state and cloning --------------------------------------------------
+# --- initial state and cloning --------------------------------------------------
 
 
-def test_default_state_shape():
-    ctx = IfcContext.default_state(P_ALICE)
+def test_constructor_defaults():
+    ctx = IfcContext(P_ALICE)
     assert ctx.current == DC_PUBLIC
     assert ctx.clearance == DC_TOP
     assert ctx.output == DC_PUBLIC
@@ -289,7 +289,7 @@ def test_default_state_shape():
 
 
 def test_clone_isolates_state():
-    base = IfcContext.default_state(P_ALICE)
+    base = IfcContext(P_ALICE)
     c1, c2 = base.clone(), base.clone()
     c1.taint(ALICE)
     assert c2.current == DC_PUBLIC and base.current == DC_PUBLIC

@@ -282,10 +282,11 @@ def test_disjunctive_secret_satisfied_by_one_owner():
 
 
 def test_sole_principal():
-    assert Privilege.for_principal("P1").sole_principal() == "P1"
-    assert EMPTY_PRIVILEGE.sole_principal() is None
-    assert Privilege(cnf({"A", "B"})).sole_principal() is None
-    assert Privilege(cnf({"A"}, {"B"})).sole_principal() is None
+    assert cnf_from_principal("P1").sole_principal() == "P1"
+    assert CNF_TRUE.sole_principal() is None
+    assert CNF_FALSE.sole_principal() is None
+    assert cnf({"P1", "P2"}).sole_principal() is None  # either
+    assert cnf({"P1"}, {"P2"}).sole_principal() is None  # joint
 
 
 # --- wire encoding ------------------------------------------------------------

@@ -21,7 +21,6 @@ from enclaveflow.wire import (
     encode_result_ok,
     encode_value,
     make_labeled,
-    unwrap_labeled,
 )
 from value_gen import random_value
 
@@ -87,7 +86,7 @@ def test_unicode_string_roundtrip():
 def test_labeled_payload_stays_encoded():
     lv = make_labeled(DC_PUBLIC, [1, "x"])
     assert lv.payload == encode_value([1, "x"])
-    assert unwrap_labeled(lv) == [1, "x"]
+    assert decode_value(lv.payload) == [1, "x"]
     back = decode_value(encode_value(lv))
     assert back == lv
 
