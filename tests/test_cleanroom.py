@@ -96,6 +96,14 @@ def test_provider_label_shape():
     assert lab.secrecy == cnf({"P1"}) and lab.integrity == cnf({"P1"})
 
 
+def test_extract_org_name():
+    # The clean room reads a row's owner off its secrecy as CNF.sole_principal.
+    assert provider_label("P1").secrecy.sole_principal() == "P1"
+    assert DC_PUBLIC.secrecy.sole_principal() is None
+    assert DCLabel(cnf({"P1"}, {"P2"}), CNF_TRUE).secrecy.sole_principal() is None  # joint
+    assert DCLabel(cnf({"P1", "P2"}), CNF_TRUE).secrecy.sole_principal() is None  # either
+
+
 def test_unlabel_row_owned_labels_keep_context_public():
     for owner, label in (("P1", provider_label("P1")), ("P2", provider_label("P2"))):
         ctx = IfcContext(EMPTY_PRIVILEGE)
