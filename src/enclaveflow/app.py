@@ -38,6 +38,7 @@ from .wire import (
     encode_result_err,
     encode_result_ok,
     encode_value,
+    make_labeled,
 )
 
 __all__ = [
@@ -191,7 +192,7 @@ class App:
         self._check_staging()
         if self.role != ENCLAVE_ROLE:
             return EnclaveStub("labeled constant")
-        return LabeledValue(l, encode_value(v))
+        return make_labeled(l, v)
 
     def labeled_ref(self, l: DCLabel, v: Value) -> LabeledRef | EnclaveStub:
         """An enclave-resident labeled mutable cell."""
@@ -333,7 +334,6 @@ def run_app(
     gateway_factory: Callable[[], Any] | None = None,
     per_call_channel: bool = False,
     serve: bool = True,
-    on_listening: Callable[[Monitor, bytes], None] | None = None,
 ) -> App:
     """Stage ``program`` for ``role`` and run that role's part.
 
@@ -355,19 +355,16 @@ def run_app(
     if role != ENCLAVE_ROLE and role not in app.client_names:
         raise UsageError(f"unknown role {role!r}")
     if role == ENCLAVE_ROLE:
-        measurement = app.measurement(config_bytes)
         app.monitor = Monitor(
             host,
             port,
             app.dispatch,
-            measurement=measurement,
+            measurement=app.measurement(config_bytes),
             authority_private=authority_private,
             credentials=credentials,
             attested=attested,
             verify_client=verify_client,
         )
-        if on_listening is not None:
-            on_listening(app.monitor, measurement)
         if serve:
             app.monitor.serve_forever()
     else:

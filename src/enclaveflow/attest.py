@@ -50,12 +50,11 @@ from .errors import (
 )
 from .wire import (
     MSG_RESULT_ERR,
-    TAG_STRING,
     ResultErr,
     decode_message,
     encode_result_err,
     encode_value,
-    read_value,
+    read_string,
 )
 
 __all__ = [
@@ -210,14 +209,17 @@ def _hello_body(nonce: bytes, name: str, eph_pub: bytes, sig: bytes) -> bytes:
     return bytes([MSG_CLIENT_HELLO]) + nonce + encode_value(name) + eph_pub + sig
 
 
+def _hello_signed_bytes(nonce: bytes, eph_pub: bytes, name: str) -> bytes:
+    """What the client signs in its hello."""
+    return nonce + eph_pub + name.encode("utf-8")
+
+
 def _parse_hello(body: bytes) -> tuple[bytes, str, bytes, bytes]:
     if len(body) < 1 + 32 + 5 + 32 + 64 or body[0] != MSG_CLIENT_HELLO:
         raise DecodeError("malformed hello")
-    # the peer is not yet authenticated: refuse any other value type before
-    # decoding, or one hello could make us build a 16 MiB list
-    if body[33] != TAG_STRING:
-        raise DecodeError("malformed hello name")
-    name, end = read_value(body, 33)
+    # the peer is not yet authenticated: read_string refuses any other value
+    # type before decoding, or one hello could make us build a 16 MiB list
+    name, end = read_string(body, 33)
     if len(body) != end + 32 + 64:
         raise DecodeError("malformed hello length")
     return body[1:33], name, body[end : end + 32], body[end + 32 :]
@@ -251,7 +253,7 @@ def handshake_client(
     nonce = os.urandom(32)
     eph_priv = X25519PrivateKey.generate()
     eph_pub = eph_priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    to_sign = nonce + eph_pub + client_name.encode("utf-8")
+    to_sign = _hello_signed_bytes(nonce, eph_pub, client_name)
     sig = signing_key.sign(to_sign) if signing_key is not None else _ZERO_SIG
     hello = _hello_body(nonce, client_name, eph_pub, sig)
     send_frame(sock, hello)
@@ -309,7 +311,7 @@ def handshake_server(
         ok = False
         if cred is not None:
             try:
-                cred.verify(client_sig, nonce + client_eph + name.encode("utf-8"))
+                cred.verify(client_sig, _hello_signed_bytes(nonce, client_eph, name))
                 ok = True
             except InvalidSignature:
                 ok = False
@@ -463,7 +465,7 @@ class Monitor:
                     continue
                 try:
                     self.serve_connection(conn)
-                except (TransportError, CryptoError, DecodeError, AuthFailure):
+                except (TransportError, CryptoError, DecodeError, AuthFailure, OSError):
                     pass  # that connection is done; keep accepting
                 finally:
                     conn.close()

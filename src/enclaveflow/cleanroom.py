@@ -13,6 +13,7 @@ gate refuses the response.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TextIO
@@ -118,17 +119,16 @@ def psi_mean_age(
 ) -> list[tuple[str, float]]:
     """Strains present in BOTH providers' rows, each with the mean age over
     all matching rows from either provider; sorted by strain."""
-    strains_a = {row.strain for owner, row in tagged if owner == provider_a}
-    strains_b = {row.strain for owner, row in tagged if owner == provider_b}
-    out = []
-    for strain in sorted(strains_a & strains_b):
-        ages = [
-            row.age
-            for owner, row in tagged
-            if owner in (provider_a, provider_b) and row.strain == strain
-        ]
-        out.append((strain, sum(ages) / len(ages)))
-    return out
+    strains: dict[str | None, set[str]] = {provider_a: set(), provider_b: set()}
+    totals: dict[str, list[int]] = {}  # strain -> [sum of ages, rows]
+    for owner, row in tagged:
+        if owner in strains:
+            strains[owner].add(row.strain)
+            total = totals.setdefault(row.strain, [0, 0])
+            total[0] += row.age
+            total[1] += 1
+    common = strains[provider_a] & strains[provider_b]
+    return [(strain, s / n) for strain, (s, n) in sorted(totals.items()) if strain in common]
 
 
 # --- result encryption: ephemeral key agreement + AEAD -----------------------------
@@ -224,17 +224,13 @@ def build_cleanroom_program(cfg: CleanRoomConfig) -> Callable[[App], None]:
         def runquery(ctx: IfcContext) -> bytes:
             # the privileges exist only inside this closure
             stored = ctx.read_ref(db)
-            counts = {cfg.provider_a: 0, cfg.provider_b: 0}
-            for lrow in stored:
-                owner = lrow.label.secrecy.sole_principal()
-                if owner in counts:
-                    counts[owner] += 1
-            for name, have in counts.items():
-                if have < cfg.thresholds.get(name, 1):
+            owners = [lrow.label.secrecy.sole_principal() for lrow in stored]
+            counts = Counter(owners)
+            for name in (cfg.provider_a, cfg.provider_b):
+                if counts[name] < cfg.thresholds.get(name, 1):
                     raise NotReady(f"{name} below threshold")
             tagged = [
-                (lrow.label.secrecy.sole_principal(), unlabel_row(ctx, p1, p2, lrow))
-                for lrow in stored
+                (owner, unlabel_row(ctx, p1, p2, lrow)) for owner, lrow in zip(owners, stored)
             ]
             result = psi_mean_age(tagged, cfg.provider_a, cfg.provider_b)
             if cfg.consumer_public is None:

@@ -18,12 +18,13 @@ import argparse
 import functools
 import hashlib
 import json
+import random
 import socket
 import statistics
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -31,6 +32,7 @@ from .app import ENCLAVE_ROLE, App, run_app
 from .attest import (
     MSG_RECORD,
     MSG_SERVER_ATTEST,
+    Monitor,
     connect_channel,
     gen_signing_key,
     load_exchange_private,
@@ -292,59 +294,64 @@ def _split_names(spec: str) -> list[str]:
 
 
 def cmd_provision(args: argparse.Namespace) -> int:
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+
+    def signing_key():
+        key = gen_signing_key()
+        key.public_key().verify(key.sign(b"self-test"), b"self-test")
+        return key
+
+    # (printed label, file stem, key generator), in generation order
+    pairs = [("authority", "authority", signing_key)]
+    pairs += [(f"{n} signing", f"{n}_signing", signing_key) for n in _split_names(args.clients)]
+    pairs += [
+        (f"{n} exchange", f"{n}_exchange", X25519PrivateKey.generate)
+        for n in _split_names(args.exchange)
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    clients = _split_names(args.clients)
-    exchange = _split_names(args.exchange)
-
-    targets = [out / "authority_private.hex", out / "authority_public.hex"]
-    for name in clients:
-        targets += [out / f"{name}_signing_private.hex", out / f"{name}_signing_public.hex"]
-    for name in exchange:
-        targets += [out / f"{name}_exchange_private.hex", out / f"{name}_exchange_public.hex"]
-    existing = [t for t in targets if t.exists()]
+    targets = [
+        (out / f"{stem}_private.hex", out / f"{stem}_public.hex") for _, stem, _ in pairs
+    ]
+    existing = [path for pair in targets for path in pair if path.exists()]
     if existing and not args.force:
         raise UsageError(
             f"refusing to overwrite {existing[0]} (and {len(existing) - 1} more); use --force"
         )
 
-    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-
-    def emit_pair(label: str, priv_path: Path, pub_path: Path, key) -> None:
+    for (label, _, generate), (priv_path, pub_path) in zip(pairs, targets):
+        key = generate()
         save_key_hex(priv_path, private_raw(key))
         pub = public_raw(key.public_key())
         save_key_hex(pub_path, pub)
         print(f"{label}: {hashlib.sha256(pub).hexdigest()[:16]}")
-
-    authority = gen_signing_key()
-    authority.public_key().verify(authority.sign(b"self-test"), b"self-test")
-    emit_pair("authority", targets[0], targets[1], authority)
-    for name in clients:
-        key = gen_signing_key()
-        key.public_key().verify(key.sign(b"self-test"), b"self-test")
-        emit_pair(
-            f"{name} signing",
-            out / f"{name}_signing_private.hex",
-            out / f"{name}_signing_public.hex",
-            key,
-        )
-    for name in exchange:
-        emit_pair(
-            f"{name} exchange",
-            out / f"{name}_exchange_private.hex",
-            out / f"{name}_exchange_public.hex",
-            X25519PrivateKey.generate(),
-        )
-    print(f"{len(targets)} key files in {out}")
+    print(f"{2 * len(targets)} key files in {out}")
     return EXIT_OK
 
 
 # --- enclave and client launchers ----------------------------------------------------
 
 
+def _stage_enclave(cfg: RunConfig, authority_private, credentials) -> Monitor:
+    """Stage ``cfg``'s enclave and bind its monitor, not yet serving."""
+    return run_app(
+        ENCLAVE_ROLE,
+        _build_program(cfg, ENCLAVE_ROLE),
+        code_version=_code_version(cfg),
+        config_bytes=_measurement_config_bytes(cfg),
+        host=cfg.host,
+        port=cfg.port,
+        authority_private=authority_private,
+        credentials=credentials,
+        attested=cfg.attestation,
+        verify_client=cfg.client_sig,
+        ifc_enforce=cfg.ifc,
+        serve=False,
+    ).monitor
+
+
 def cmd_enclave(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    program = _build_program(cfg, ENCLAVE_ROLE)
     authority_private = None
     credentials = {}
     if cfg.attestation:
@@ -355,34 +362,20 @@ def cmd_enclave(args: argparse.Namespace) -> int:
             name: load_signing_public(path) for name, path in cfg.client_keys.items()
         }
 
-    def announce(monitor, measurement: bytes) -> None:
-        print(
-            f"ENCLAVE LISTENING {monitor.host} {monitor.port} {measurement.hex()}",
-            flush=True,
-        )
-
+    monitor = _stage_enclave(cfg, authority_private, credentials)
+    print(
+        f"ENCLAVE LISTENING {monitor.host} {monitor.port} {monitor.measurement.hex()}",
+        flush=True,
+    )
     try:
-        run_app(
-            ENCLAVE_ROLE,
-            program,
-            code_version=_code_version(cfg),
-            config_bytes=_measurement_config_bytes(cfg),
-            host=cfg.host,
-            port=cfg.port,
-            authority_private=authority_private,
-            credentials=credentials,
-            attested=cfg.attestation,
-            verify_client=cfg.client_sig,
-            ifc_enforce=cfg.ifc,
-            on_listening=announce,
-            serve=True,
-        )
+        monitor.serve_forever()
     except KeyboardInterrupt:
         pass
     return EXIT_OK
 
 
 def _gateway_factory(cfg: RunConfig, role: str) -> Callable[[], object]:
+    """A connector to ``cfg``'s enclave as ``role``, with everything bound."""
     expected = _expected_measurement(cfg) if cfg.attestation else b""
     authority_public = (
         load_signing_public(cfg.authority_public) if cfg.attestation else None
@@ -394,18 +387,16 @@ def _gateway_factory(cfg: RunConfig, role: str) -> Callable[[], object]:
             raise UsageError(f"no signing key configured for role {role!r}")
         signing_key = load_signing_private(path)
 
-    def factory():
-        return connect_channel(
-            cfg.host,
-            cfg.port,
-            attested=cfg.attestation,
-            client_name=role,
-            signing_key=signing_key,
-            expected_measurement=expected,
-            authority_public=authority_public,
-        )
-
-    return factory
+    return functools.partial(
+        connect_channel,
+        cfg.host,
+        cfg.port,
+        attested=cfg.attestation,
+        client_name=role,
+        signing_key=signing_key,
+        expected_measurement=expected,
+        authority_public=authority_public,
+    )
 
 
 def cmd_client(args: argparse.Namespace) -> int:
@@ -444,7 +435,7 @@ BENCH_CONFIGS: list[tuple[str, bool, bool, bool]] = [
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.iterations < 1:
         raise UsageError("iterations must be >= 1")
-    cfg = RunConfig(app="password-checker")
+    cfg = RunConfig(app="password-checker", port=0)
     authority = gen_signing_key()
     user_key = gen_signing_key()
     credentials = {"user": user_key.public_key()}
@@ -463,40 +454,40 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise TransportError(f"{label}: unexpected bench reply")
         return elapsed_ms, raw
 
-    apps = []
-    connects = []
+    monitors = []
+    connects = {}
     try:
         for label, attested, client_sig, ifc in BENCH_CONFIGS:
-            app, meas = _serve_inprocess(
-                cfg, authority, credentials, attested=attested, verify_client=client_sig, ifc=ifc
-            )
-            apps.append(app)
-            connects.append(
-                functools.partial(
-                    connect_channel,
-                    "127.0.0.1",
-                    app.monitor.port,
-                    attested=attested,
-                    client_name="user",
-                    signing_key=user_key if client_sig else None,
-                    expected_measurement=meas,
-                    authority_public=authority.public_key(),
-                )
+            row = replace(cfg, attestation=attested, client_sig=client_sig, ifc=ifc)
+            monitor = _serve_inprocess(row, authority, credentials)
+            monitors.append(monitor)
+            connects[label] = functools.partial(
+                connect_channel,
+                row.host,
+                monitor.port,
+                attested=row.attestation,
+                client_name="user",
+                signing_key=user_key if row.client_sig else None,
+                expected_measurement=monitor.measurement,
+                authority_public=authority.public_key(),
             )
 
         # Round-robin: one call per config per round, so drift in machine
-        # speed lands on every config alike.  The first rounds warm the stack.
+        # speed lands on every config alike.  Each round's order is a seeded
+        # shuffle, because a plain call right after an attested one reads
+        # slower and a fixed order would charge that to one config.  The
+        # first rounds warm the stack.
         warmup = 3
         samples: dict[str, list[float]] = {label: [] for label, *_ in BENCH_CONFIGS}
         payloads: dict[str, bytes] = {}
         for round_no in range(warmup + args.iterations):
-            for (label, *_), connect in zip(BENCH_CONFIGS, connects):
-                elapsed_ms, payloads[label] = one_call(label, connect)
+            for label in random.Random(round_no).sample(list(connects), len(connects)):
+                elapsed_ms, payloads[label] = one_call(label, connects[label])
                 if round_no >= warmup:
                     samples[label].append(elapsed_ms)
     finally:
-        for app in apps:
-            app.monitor.stop()
+        for monitor in monitors:
+            monitor.stop()
     if payloads["ifc-on"] != payloads["ifc-off"]:
         raise TransportError("ifc-on and ifc-off produced different result payloads")
 
@@ -511,32 +502,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # --- attack drills ---------------------------------------------------------------------
 
 
-def _serve_inprocess(
-    cfg: RunConfig,
-    authority_private,
-    credentials,
-    *,
-    verify_client: bool,
-    attested: bool = True,
-    ifc: bool = True,
-) -> tuple[App, bytes]:
-    """Stage and serve ``cfg``'s enclave on a daemon thread of this
-    process; returns the app and the measurement clients must pin."""
-    app = run_app(
-        ENCLAVE_ROLE,
-        _build_program(cfg, ENCLAVE_ROLE),
-        code_version=_code_version(cfg),
-        config_bytes=_measurement_config_bytes(cfg),
-        port=0,
-        authority_private=authority_private,
-        credentials=credentials,
-        attested=attested,
-        verify_client=verify_client,
-        ifc_enforce=ifc,
-        serve=False,
-    )
-    threading.Thread(target=app.monitor.serve_forever, daemon=True).start()
-    return app, app.monitor.measurement
+def _serve_inprocess(cfg: RunConfig, authority_private, credentials) -> Monitor:
+    """Stage and serve ``cfg``'s enclave on a daemon thread of this process."""
+    monitor = _stage_enclave(cfg, authority_private, credentials)
+    threading.Thread(target=monitor.serve_forever, daemon=True).start()
+    return monitor
 
 
 def _one_shot_proxy(
@@ -585,7 +555,11 @@ def _one_shot_proxy(
     return proxy_port
 
 
-def _attack_tampered_record(app: App, meas: bytes, user_key, authority_public):
+# Each drill gets the enclave's port and ``connect(port, **overrides)``, a
+# connector bound to the enclave's measurement and the user's credentials.
+
+
+def _attack_tampered_record(port: int, connect):
     flipped = []
 
     def flip(body: bytes) -> bytes:
@@ -596,15 +570,7 @@ def _attack_tampered_record(app: App, meas: bytes, user_key, authority_public):
             return bytes(mangled)
         return body
 
-    port = _one_shot_proxy("127.0.0.1", app.monitor.port, flip)
-    channel = connect_channel(
-        "127.0.0.1",
-        port,
-        client_name="user",
-        signing_key=user_key,
-        expected_measurement=meas,
-        authority_public=authority_public,
-    )
+    channel = connect(_one_shot_proxy("127.0.0.1", port, flip))
     try:
         channel.send_message(encode_call(0, ["password"]))
         channel.recv_message()
@@ -615,17 +581,10 @@ def _attack_tampered_record(app: App, meas: bytes, user_key, authority_public):
     return ("tampered-record", False, "tampered record was accepted")
 
 
-def _attack_unknown_client(app: App, meas: bytes, authority_public):
+def _attack_unknown_client(port: int, connect):
     rogue = gen_signing_key()  # never provisioned with the enclave
     try:
-        channel = connect_channel(
-            "127.0.0.1",
-            app.monitor.port,
-            client_name="mallory",
-            signing_key=rogue,
-            expected_measurement=meas,
-            authority_public=authority_public,
-        )
+        channel = connect(port, client_name="mallory", signing_key=rogue)
     except AuthFailure:
         return ("unknown-client", True, "handshake refused with AUTH_FAILURE")
     try:
@@ -636,15 +595,8 @@ def _attack_unknown_client(app: App, meas: bytes, authority_public):
     return ("unknown-client", False, f"rogue client was answered: {reply}")
 
 
-def _attack_leaky_function(app: App, meas: bytes, user_key, authority_public):
-    channel = connect_channel(
-        "127.0.0.1",
-        app.monitor.port,
-        client_name="user",
-        signing_key=user_key,
-        expected_measurement=meas,
-        authority_public=authority_public,
-    )
+def _attack_leaky_function(port: int, connect):
+    channel = connect(port)
     try:
         channel.send_message(encode_call(0, []))
         reply = decode_message(channel.recv_message())
@@ -655,7 +607,7 @@ def _attack_leaky_function(app: App, meas: bytes, user_key, authority_public):
     return ("leaky-function", False, f"leak escaped the enclave: {reply}")
 
 
-def _attack_replayed_attest(app: App, meas: bytes, user_key, authority_public):
+def _attack_replayed_attest(port: int, connect):
     captured: dict[str, bytes] = {}
 
     def record(body: bytes) -> bytes:
@@ -663,15 +615,7 @@ def _attack_replayed_attest(app: App, meas: bytes, user_key, authority_public):
             captured["attest"] = body
         return body
 
-    port = _one_shot_proxy("127.0.0.1", app.monitor.port, record)
-    connect_channel(
-        "127.0.0.1",
-        port,
-        client_name="user",
-        signing_key=user_key,
-        expected_measurement=meas,
-        authority_public=authority_public,
-    ).close()
+    connect(_one_shot_proxy("127.0.0.1", port, record)).close()
     if "attest" not in captured:
         return ("replayed-attest", False, "could not capture an attestation")
 
@@ -680,16 +624,8 @@ def _attack_replayed_attest(app: App, meas: bytes, user_key, authority_public):
             return captured["attest"]
         return body
 
-    port = _one_shot_proxy("127.0.0.1", app.monitor.port, replay)
     try:
-        connect_channel(
-            "127.0.0.1",
-            port,
-            client_name="user",
-            signing_key=user_key,
-            expected_measurement=meas,
-            authority_public=authority_public,
-        ).close()
+        connect(_one_shot_proxy("127.0.0.1", port, replay)).close()
     except AttestationFailure as e:
         return (
             "replayed-attest",
@@ -700,28 +636,40 @@ def _attack_replayed_attest(app: App, meas: bytes, user_key, authority_public):
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    verify_client = not args.no_client_sig
     authority = gen_signing_key()
     user_key = gen_signing_key()
     credentials = {"user": user_key.public_key()}
-    authority_public = authority.public_key()
 
-    pwd_app, pwd_meas = _serve_inprocess(
-        RunConfig(app="password-checker"), authority, credentials, verify_client=verify_client
-    )
-    leak_app, leak_meas = _serve_inprocess(
-        RunConfig(app="attack-demo"), authority, credentials, verify_client=verify_client
-    )
+    monitors = [
+        _serve_inprocess(
+            RunConfig(app=app, port=0, client_sig=not args.no_client_sig), authority, credentials
+        )
+        for app in ("password-checker", "attack-demo")
+    ]
     try:
+        pwd, leak = (
+            (
+                monitor.port,
+                functools.partial(
+                    connect_channel,
+                    "127.0.0.1",
+                    client_name="user",
+                    signing_key=user_key,
+                    expected_measurement=monitor.measurement,
+                    authority_public=authority.public_key(),
+                ),
+            )
+            for monitor in monitors
+        )
         results = [
-            _attack_tampered_record(pwd_app, pwd_meas, user_key, authority_public),
-            _attack_unknown_client(pwd_app, pwd_meas, authority_public),
-            _attack_leaky_function(leak_app, leak_meas, user_key, authority_public),
-            _attack_replayed_attest(pwd_app, pwd_meas, user_key, authority_public),
+            _attack_tampered_record(*pwd),
+            _attack_unknown_client(*pwd),
+            _attack_leaky_function(*leak),
+            _attack_replayed_attest(*pwd),
         ]
     finally:
-        pwd_app.monitor.stop()
-        leak_app.monitor.stop()
+        for monitor in monitors:
+            monitor.stop()
 
     for name, blocked, detail in results:
         print(f"{name}: {'PASS' if blocked else 'FAIL'} ({detail})")

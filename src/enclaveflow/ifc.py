@@ -23,7 +23,7 @@ from .labels import (
     downgrade,
     join,
 )
-from .wire import Value, decode_value, encode_value
+from .wire import Value, decode_value, encode_value, make_labeled
 
 __all__ = ["IfcContext", "LabeledRef"]
 
@@ -76,13 +76,13 @@ class IfcContext:
     def label(self, l: DCLabel, v: Value) -> LabeledValue:
         """Seal a value at label ``l``; the context must sit at or below it."""
         self._require(can_flow_to(self.current, l) and can_flow_to(l, self.clearance))
-        return LabeledValue(l, encode_value(v))
+        return make_labeled(l, v)
 
     def label_p(self, p: Privilege, l: DCLabel, v: Value) -> LabeledValue:
         self._require(
             can_flow_to_p(p, self.current, l) and can_flow_to(l, self.clearance)
         )
-        return LabeledValue(l, encode_value(v))
+        return make_labeled(l, v)
 
     def unlabel(self, lv: LabeledValue) -> Value:
         """Open a labeled value, tainting the context with its label."""

@@ -33,6 +33,7 @@ __all__ = [
     "encode_value",
     "decode_value",
     "read_value",
+    "read_string",
     "make_labeled",
     "CallMessage",
     "ResultOk",
@@ -158,6 +159,15 @@ def read_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Value, int]:
     raise DecodeError(f"unknown value tag 0x{tag:02x}")
 
 
+def read_string(buf: bytes, pos: int) -> tuple[str, int]:
+    """Read a value that must be a string.  The tag is checked before
+    anything is decoded, so a peer cannot make us build a large value only
+    to refuse it."""
+    if pos >= len(buf) or buf[pos] != TAG_STRING:
+        raise DecodeError("value is not a string")
+    return read_value(buf, pos)
+
+
 def decode_value(b: bytes) -> Value:
     value, pos = read_value(b, 0)
     if pos != len(b):
@@ -237,9 +247,7 @@ def decode_message(b: bytes) -> Message:
             code = ErrorCode(raw_code)
         except ValueError as e:
             raise DecodeError(f"unknown error code {raw_code}") from e
-        message, pos = read_value(b, pos)
-        if not isinstance(message, str):
-            raise DecodeError("error message must be a string")
+        message, pos = read_string(b, pos)
         _require_consumed(b, pos)
         return ResultErr(code, message)
     raise DecodeError(f"unknown message tag 0x{tag:02x}")

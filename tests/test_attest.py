@@ -450,6 +450,22 @@ def test_monitor_survives_garbage_then_serves(garbage):
         t.join()
 
 
+def test_monitor_survives_reset_mid_frame():
+    mon, t = start_monitor()
+    try:
+        raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
+        raw.sendall(struct.pack(">I", 100) + b"abc")  # a frame cut short
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        raw.close()  # linger 0: the peer sees a reset, not a clean close
+        ch = client_channel(mon)  # still serving
+        ch.send_message(encode_call(3, []))
+        assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(3))
+        ch.close()
+    finally:
+        mon.stop()
+        t.join()
+
+
 def test_monitor_never_dispatches_unauthenticated():
     calls: list[bytes] = []
 

@@ -226,8 +226,11 @@ def test_unknown_error_code_rejected():
 
 
 def test_nonstring_error_message_rejected():
-    with pytest.raises(DecodeError):
-        decode_message(b"\x03\x00\x01" + encode_value(5))
+    # the list holds an unknown tag: refusing it as a non-string, not as a
+    # bad tag, shows the type is checked before anything is decoded
+    for message in (encode_value(5), b"\x06" + struct.pack(">I", 1) + b"\xff"):
+        with pytest.raises(DecodeError, match="string"):
+            decode_message(b"\x03\x00\x01" + message)
 
 
 def test_unknown_message_tag_rejected():
