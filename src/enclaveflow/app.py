@@ -199,7 +199,7 @@ class App:
         self._check_staging()
         if self.role != ENCLAVE_ROLE:
             return EnclaveStub("labeled ref")
-        return LabeledRef(l, encode_value(v))
+        return LabeledRef(l, v)
 
     def run_client(self, name: str, body: Callable[["App"], None]) -> None:
         """Declare a client; the body runs inline iff this process IS that

@@ -215,9 +215,7 @@ def build_cleanroom_program(cfg: CleanRoomConfig) -> Callable[[App], None]:
 
         def datasend(ctx: IfcContext, lrow: LabeledValue) -> None:
             row_from_value(decode_value(lrow.payload))  # validate, stays labeled
-            rows = ctx.read_ref(db)
-            rows.append(lrow)
-            ctx.write_ref(db, rows)
+            ctx.append_ref(db, lrow)
 
         send_ref = app.enclave_fn(template, datasend, (LabeledValue,), name="datasend")
 

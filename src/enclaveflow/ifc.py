@@ -28,13 +28,30 @@ from .wire import Value, decode_value, encode_value, make_labeled
 __all__ = ["IfcContext", "LabeledRef"]
 
 
+def _copy_value(v: Value) -> Value:
+    """A copy of ``v`` that shares no list with it.  Leaves are immutable
+    and pass through.  The codec decides what else is a value: an int out
+    of i64 range or a non-value raises what ``encode_value`` raises, so a
+    cell only ever holds a wire value."""
+    if isinstance(v, list):
+        return [_copy_value(item) for item in v]
+    if v is None or isinstance(v, (bool, float, str, bytes, LabeledValue)):
+        return v
+    encode_value(v)
+    return v
+
+
 @dataclass
 class LabeledRef:
-    """A mutable cell with a label fixed at allocation.  Contents are kept
-    codec-encoded, mirroring how labeled values travel."""
+    """A mutable cell with a label fixed at allocation, holding a wire
+    value (as LIO's ``LIORef`` holds its value).  Values are copied in and
+    out, so the stored lists change only through a guarded call."""
 
     label: DCLabel
-    cell: bytes
+    cell: Value
+
+    def __post_init__(self) -> None:
+        self.cell = _copy_value(self.cell)
 
 
 @dataclass
@@ -108,15 +125,23 @@ class IfcContext:
 
     def new_ref(self, l: DCLabel, v: Value) -> LabeledRef:
         self._require(can_flow_to(self.current, l) and can_flow_to(l, self.clearance))
-        return LabeledRef(l, encode_value(v))
+        return LabeledRef(l, v)
 
     def read_ref(self, r: LabeledRef) -> Value:
         self._raise_to(join(self.current, r.label))
-        return decode_value(r.cell)
+        return _copy_value(r.cell)
 
     def write_ref(self, r: LabeledRef, v: Value) -> None:
         self._require(can_flow_to(self.current, r.label))
-        r.cell = encode_value(v)
+        r.cell = _copy_value(v)
+
+    def append_ref(self, r: LabeledRef, v: Value) -> None:
+        """Append ``v`` to a list cell: ``write_ref``'s guard, without
+        reading or re-storing what the cell already holds."""
+        self._require(can_flow_to(self.current, r.label))
+        if not isinstance(r.cell, list):
+            raise TypeError("append_ref needs a list cell")
+        r.cell.append(_copy_value(v))
 
     # --- the output gate ---------------------------------------------------------
 

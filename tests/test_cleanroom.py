@@ -38,6 +38,7 @@ from enclaveflow.labels import (
     EMPTY_PRIVILEGE,
     Privilege,
     cnf,
+    read_label,
 )
 from enclaveflow.wire import (
     ResultErr,
@@ -307,6 +308,45 @@ def test_end_to_end_randomized_against_oracle():
         want = oracle_psi(rows_a, rows_b)
         assert [s for s, _ in got] == [s for s, _ in want]
         assert all(abs(g - w) < 1e-9 for (_, g), (_, w) in zip(got, want))
+
+
+def test_upload_reads_only_its_own_label(monkeypatch):
+    # Counted, not timed: an upload decodes its own frame's label and none
+    # of the stored table, so the 200th upload costs what the 1st did.
+    calls = 0
+
+    def counting_read_label(buf, pos):
+        nonlocal calls
+        calls += 1
+        return read_label(buf, pos)
+
+    monkeypatch.setattr("enclaveflow.wire.read_label", counting_read_label)
+    enclave = cleanroom_enclave(X25519PrivateKey.generate().public_key())
+    per_upload = []
+    for i in range(200):
+        before = calls
+        assert send_row(enclave, ("P1", "P2")[i % 2], "alpha", i % 150) == ResultOk(None)
+        per_upload.append(calls - before)
+    assert per_upload[0] == per_upload[-1] == 1
+
+
+def test_end_to_end_large_against_oracle():
+    rng = random.Random(4242)
+    strains = [f"strain{i}" for i in range(40)]
+    consumer = X25519PrivateKey.generate()
+    enclave = cleanroom_enclave(consumer.public_key())
+    rows_a = [Row(rng.choice(strains[:30]), rng.randint(0, 150)) for _ in range(5000)]
+    rows_b = [Row(rng.choice(strains[10:]), rng.randint(0, 150)) for _ in range(5000)]
+    for owner, rows in (("P1", rows_a), ("P2", rows_b)):
+        for r in rows:
+            assert send_row(enclave, owner, r.strain, r.age) == ResultOk(None)
+    reply = query(enclave)
+    assert isinstance(reply, ResultOk)
+    got = [(s, m) for s, m in decode_value(decrypt_result(consumer, reply.value))]
+    want = oracle_psi(rows_a, rows_b)
+    assert len(want) == 20
+    assert [s for s, _ in got] == [s for s, _ in want]
+    assert all(abs(g - w) < 1e-9 for (_, g), (_, w) in zip(got, want))
 
 
 def test_float_up_blocks_query():

@@ -191,11 +191,31 @@ def test_get_privilege():
 # --- refs ----------------------------------------------------------------------
 
 
-def test_new_ref_stores_encoded_cell():
+def test_new_ref_stores_a_copy():
     ctx = fresh()
-    r = ctx.new_ref(DC_PUBLIC, [1, 2])
+    v = [1, 2]
+    r = ctx.new_ref(DC_PUBLIC, v)
     assert isinstance(r, LabeledRef)
-    assert r.label == DC_PUBLIC and r.cell == encode_value([1, 2])
+    assert r.label == DC_PUBLIC and r.cell == [1, 2]
+    assert r.cell is not v
+
+
+def test_refs_refuse_what_the_codec_refuses():
+    ctx = fresh()
+    r = ctx.new_ref(DC_PUBLIC, [])
+    writers = (
+        lambda v: ctx.new_ref(DC_PUBLIC, v),
+        lambda v: ctx.write_ref(r, v),
+        lambda v: ctx.append_ref(r, v),
+    )
+    for write in writers:
+        for bad in (object(), [1, (2, 3)]):
+            with pytest.raises(TypeError):
+                write(bad)
+        for bad in (2**63, [[-(2**63) - 1]]):
+            with pytest.raises(OverflowError):
+                write(bad)
+    assert r.cell == []
 
 
 def test_new_ref_no_write_down():
@@ -242,6 +262,65 @@ def test_write_ref_no_write_down():
     with pytest.raises(IfcViolation):
         ctx.write_ref(r, 1)
     assert ctx.read_ref(r) == 0  # unchanged
+
+
+def test_read_ref_returns_a_copy():
+    ctx = fresh()
+    r = ctx.new_ref(DC_PUBLIC, [[1], 2])
+    got = ctx.read_ref(r)
+    got.append(3)
+    got[0].append(9)
+    assert ctx.read_ref(r) == [[1], 2]
+
+
+def test_cell_shares_nothing_with_what_was_stored():
+    ctx = fresh()
+    inner = [1]
+    r = ctx.new_ref(DC_PUBLIC, [inner])
+    inner.append(2)
+    written = [[5]]
+    ctx.write_ref(r, written)
+    written[0].append(6)
+    written.append(7)
+    appended = [8]
+    ctx.append_ref(r, appended)
+    appended.append(9)
+    assert ctx.read_ref(r) == [[5], [8]]
+
+
+def test_append_ref_appends_in_place():
+    ctx = fresh()
+    r = ctx.new_ref(DC_PUBLIC, [1])
+    ctx.append_ref(r, make_labeled(ALICE, 2))
+    assert ctx.read_ref(r) == [1, make_labeled(ALICE, 2)]
+    assert ctx.current == DC_PUBLIC  # appending reads nothing
+
+
+def test_append_ref_no_write_down():
+    ctx = fresh()
+    r = ctx.new_ref(DC_PUBLIC, [0])
+    ctx.taint(ALICE)
+    with pytest.raises(IfcViolation):
+        ctx.append_ref(r, 1)
+    assert ctx.current == ALICE
+    assert r.cell == [0]  # unchanged
+
+
+def test_append_ref_unenforced_still_appends():
+    ctx = fresh(enforce=False)
+    r = ctx.new_ref(DC_PUBLIC, [])
+    ctx.taint(ALICE)  # a write-down if enforced
+    ctx.append_ref(r, 1)
+    assert r.cell == [1]
+    assert ctx.current == ALICE
+
+
+def test_append_ref_needs_a_list_cell():
+    ctx = fresh()
+    r = ctx.new_ref(DC_PUBLIC, 0)
+    with pytest.raises(TypeError):
+        ctx.append_ref(r, 1)
+    assert r.cell == 0
 
 
 def test_labeled_rows_in_public_ref():
@@ -324,10 +403,12 @@ def test_monotone_and_clearance_safe_random_sequences():
     for _ in range(200):
         clearance = rng.choice([DC_TOP, DC_TOP, DCLabel(cnf({"A"}), CNF_TRUE), DC_PUBLIC])
         ctx = fresh(rng.choice(privs), clearance=clearance)
-        refs = [ctx.new_ref(DC_PUBLIC, 0)]
+        refs = [ctx.new_ref(DC_PUBLIC, [])]
         for _ in range(12):
             before = ctx.current
-            op = rng.choice(["taint", "taint_p", "unlabel", "unlabel_p", "label", "new_ref", "read", "write"])
+            op = rng.choice(
+                ["taint", "taint_p", "unlabel", "unlabel_p", "label", "new_ref", "read", "write", "append"]
+            )
             l = rng.choice(labels)
             try:
                 if op == "taint":
@@ -341,13 +422,16 @@ def test_monotone_and_clearance_safe_random_sequences():
                 elif op == "label":
                     ctx.label(l, 1)
                 elif op == "new_ref":
-                    refs.append(ctx.new_ref(l, 0))
+                    refs.append(ctx.new_ref(l, []))
                 elif op == "read":
                     ctx.read_ref(rng.choice(refs))
                 else:
                     r = rng.choice(refs)
                     assert_can_write = can_flow_to(ctx.current, r.label)
-                    ctx.write_ref(r, 1)
+                    if op == "write":
+                        ctx.write_ref(r, [1])
+                    else:
+                        ctx.append_ref(r, 1)
                     assert assert_can_write  # no-write-down held
             except IfcViolation:
                 assert ctx.current == before  # failed ops leave no trace
