@@ -17,6 +17,7 @@ import os
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -63,6 +64,7 @@ __all__ = [
     "MSG_CLIENT_FINISH",
     "MSG_RECORD",
     "MAX_FRAME",
+    "HANDSHAKE_DEADLINE_S",
     "send_frame",
     "recv_frame",
     "compute_measurement",
@@ -89,6 +91,9 @@ MSG_CLIENT_FINISH = 0x12
 MSG_RECORD = 0x13
 
 MAX_FRAME = 1 << 24  # 16 MiB; anything bigger is hostile at this scale
+# handshake_server's whole budget, across all of its reads: a peer that
+# trickles its hello cannot hold the one-at-a-time monitor for longer
+HANDSHAKE_DEADLINE_S = 5.0
 
 _U32 = struct.Struct(">I")
 _ZERO_SIG = bytes(64)
@@ -97,9 +102,14 @@ _ZERO_SIG = bytes(64)
 # --- framing -----------------------------------------------------------------
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int, deadline: float | None = None) -> bytes:
     buf = bytearray()
     while len(buf) < n:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TransportError("read deadline passed")
+            sock.settimeout(left)
         chunk = sock.recv(n - len(buf))
         if not chunk:
             raise TransportError("connection closed mid-frame")
@@ -113,11 +123,13 @@ def send_frame(sock: socket.socket, body: bytes) -> None:
     sock.sendall(_U32.pack(len(body)) + body)
 
 
-def recv_frame(sock: socket.socket) -> bytes:
-    (length,) = _U32.unpack(_recv_exact(sock, 4))
+def recv_frame(sock: socket.socket, deadline: float | None = None) -> bytes:
+    """One frame.  With a ``deadline`` (a ``time.monotonic()`` instant),
+    every read waits only for what is left of it."""
+    (length,) = _U32.unpack(_recv_exact(sock, 4, deadline))
     if length > MAX_FRAME:
         raise TransportError("oversized frame")
-    return _recv_exact(sock, length)
+    return _recv_exact(sock, length, deadline)
 
 
 # --- measurement ----------------------------------------------------------------
@@ -167,10 +179,13 @@ class Session:
     send_seq: int = 0
     recv_seq: int = 0
 
+    def __post_init__(self) -> None:
+        # the keys are fixed for the session: key each direction's AEAD once
+        self._send_aead = ChaCha20Poly1305(self.send_key)
+        self._recv_aead = ChaCha20Poly1305(self.recv_key)
+
     def seal(self, plaintext: bytes) -> bytes:
-        ct = ChaCha20Poly1305(self.send_key).encrypt(
-            _aead_nonce(self.send_seq), plaintext, None
-        )
+        ct = self._send_aead.encrypt(_aead_nonce(self.send_seq), plaintext, None)
         self.send_seq += 1
         return bytes([MSG_RECORD]) + ct
 
@@ -178,9 +193,7 @@ class Session:
         if not record or record[0] != MSG_RECORD:
             raise TransportError("expected a sealed record")
         try:
-            pt = ChaCha20Poly1305(self.recv_key).decrypt(
-                _aead_nonce(self.recv_seq), record[1:], None
-            )
+            pt = self._recv_aead.decrypt(_aead_nonce(self.recv_seq), record[1:], None)
         except InvalidTag as e:
             raise CryptoError("record failed authentication") from e
         self.recv_seq += 1
@@ -298,8 +311,13 @@ def handshake_server(
     """Enclave side: authenticate the hello against provisioned
     credentials, quote our measurement bound to the client's nonce, and
     confirm the derived keys.  Raises AuthFailure (after sending a code-4
-    refusal) for unknown or mis-signed clients."""
-    hello = recv_frame(sock)
+    refusal) for unknown or mis-signed clients.  All of it must finish
+    within ``HANDSHAKE_DEADLINE_S``, or the read that would overrun raises
+    TransportError or ``socket.timeout``; the socket's own timeout is put
+    back once the handshake succeeds."""
+    deadline = time.monotonic() + HANDSHAKE_DEADLINE_S
+    timeout = sock.gettimeout()
+    hello = recv_frame(sock, deadline)
     try:
         nonce, name, client_eph, client_sig = _parse_hello(hello)
     except DecodeError:
@@ -333,7 +351,7 @@ def handshake_server(
     transcript = hashlib.sha256(hello + attest).digest()
     _, server_session, fin_key = _derive_sessions(shared, transcript)
 
-    finish = recv_frame(sock)
+    finish = recv_frame(sock, deadline)
     if (
         len(finish) != 33
         or finish[0] != MSG_CLIENT_FINISH
@@ -345,6 +363,7 @@ def handshake_server(
             sock, encode_result_err(ErrorCode.AUTH_FAILURE, "key confirmation failed")
         )
         raise AuthFailure("key confirmation failed")
+    sock.settimeout(timeout)
     return server_session, name
 
 

@@ -8,11 +8,15 @@ secrecy formula with an integrity formula.  Labels are ordered by
 All operations return canonical CNFs: an antichain of clauses (no clause
 contains another), with ``True`` the empty clause set and ``False`` the
 singleton set holding the empty clause.  Everything here is an immutable
-value, safe to share across threads.
+value, safe to share across threads, so ``join`` and ``downgrade`` are
+memoized on their arguments in bounded caches of ``LABEL_CACHE_SIZE``
+entries each.  (``can_flow_to`` is not: hashing its two labels costs
+about what its two implication checks do.)
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Iterable
@@ -26,6 +30,7 @@ __all__ = [
     "DCLabel",
     "Privilege",
     "LabeledValue",
+    "LABEL_CACHE_SIZE",
     "CNF_TRUE",
     "CNF_FALSE",
     "DC_PUBLIC",
@@ -207,6 +212,10 @@ class Privilege:
 
 EMPTY_PRIVILEGE = Privilege(CNF_TRUE)
 
+# Entries per memoized lattice operation.  A fixed count, so a peer that
+# sends ever new labels evicts old entries instead of growing the cache.
+LABEL_CACHE_SIZE = 1024
+
 
 def can_flow_to(l1: DCLabel, l2: DCLabel) -> bool:
     """The unprivileged flow relation: secrecy may only grow, integrity
@@ -223,6 +232,7 @@ def can_flow_to_p(p: Privilege, l1: DCLabel, l2: DCLabel) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=LABEL_CACHE_SIZE)
 def join(l1: DCLabel, l2: DCLabel) -> DCLabel:
     """Least upper bound under ``can_flow_to``."""
     return DCLabel(cnf_and(l1.secrecy, l2.secrecy), cnf_or(l1.integrity, l2.integrity))
@@ -233,6 +243,7 @@ def meet(l1: DCLabel, l2: DCLabel) -> DCLabel:
     return DCLabel(cnf_or(l1.secrecy, l2.secrecy), cnf_and(l1.integrity, l2.integrity))
 
 
+@functools.lru_cache(maxsize=LABEL_CACHE_SIZE)
 def downgrade(p: Privilege, l: DCLabel) -> DCLabel:
     """The lowest label ``l`` may reach with privilege ``p``.
 

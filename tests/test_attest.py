@@ -6,13 +6,16 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from enclaveflow.attest import (
     MAX_FRAME,
+    MSG_RECORD,
     Monitor,
     PlainChannel,
     compute_measurement,
@@ -307,6 +310,21 @@ def test_seal_open_roundtrip_and_counters():
     assert client.send_seq == 5 and server.recv_seq == 5
 
 
+def test_sealed_record_bytes_are_pinned():
+    # the record format: tag byte, then ChaCha20-Poly1305 under the
+    # direction's key with nonce = 4 zero bytes + big-endian sequence number
+    client, server = make_sessions()
+    for sender, receiver in ((client, server), (server, client)):
+        for seq in range(3):
+            pt = f"record {seq}".encode()
+            want = bytes([MSG_RECORD]) + ChaCha20Poly1305(sender.send_key).encrypt(
+                bytes(4) + seq.to_bytes(8, "big"), pt, None
+            )
+            record = sender.seal(pt)
+            assert record == want
+            assert receiver.open(record) == pt
+
+
 def test_sealed_record_bitflip_fails():
     rng = random.Random(7)
     for _ in range(20):
@@ -462,6 +480,29 @@ def test_monitor_survives_reset_mid_frame():
         assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(3))
         ch.close()
     finally:
+        mon.stop()
+        t.join()
+
+
+def test_monitor_drops_a_stalled_hello_within_the_deadline(monkeypatch):
+    # slowloris: a length prefix and a few hello bytes, then nothing.  The
+    # listener accepts in connection order, so the monitor takes this one
+    # first; the deadline covers the whole handshake, so the good client
+    # queued behind it is served once it passes, not after the 30 s timeout.
+    deadline = 0.3
+    monkeypatch.setattr("enclaveflow.attest.HANDSHAKE_DEADLINE_S", deadline)
+    mon, t = start_monitor()
+    stalled = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
+    try:
+        stalled.sendall(struct.pack(">I", 1 + 32 + 5 + 5 + 32 + 64) + b"\x10" + bytes(8))
+        start = time.monotonic()
+        ch = client_channel(mon, timeout=deadline + 2.0)
+        ch.send_message(encode_call(3, []))
+        assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(3))
+        ch.close()
+        assert time.monotonic() - start < deadline + 2.0
+    finally:
+        stalled.close()
         mon.stop()
         t.join()
 

@@ -24,6 +24,8 @@ from enclaveflow.cli import (
     _probe_measurement,
 )
 from enclaveflow.errors import UsageError
+from enclaveflow.labels import cnf_reduce, downgrade, join
+from enclaveflow.wire import ResultOk, decode_message, encode_call
 
 PYTHON = [sys.executable, "-m", "enclaveflow.cli"]
 
@@ -137,6 +139,30 @@ def test_password_program_right_and_wrong_guess():
             "password", out=out, guess_source=io.StringIO(guess + "\n")
         )(app)
         assert out.getvalue() == f"Login returned {verdict}\n"
+
+
+def test_warm_checkpwd_reduces_no_cnf(monkeypatch):
+    # Counted, not timed: checkpwd's label algebra is the same every call,
+    # so once the first call has filled the label caches no call reduces a CNF.
+    calls = 0
+
+    def counting_cnf_reduce(a):
+        nonlocal calls
+        calls += 1
+        return cnf_reduce(a)
+
+    monkeypatch.setattr("enclaveflow.labels.cnf_reduce", counting_cnf_reduce)
+    join.cache_clear()
+    downgrade.cache_clear()
+    enclave = password_enclave()
+    request = encode_call(0, ["password"])
+    per_call = []
+    for _ in range(200):
+        before = calls
+        assert decode_message(enclave.dispatch(request)) == ResultOk(True)
+        per_call.append(calls - before)
+    assert per_call[0] > 0
+    assert per_call[1:] == [0] * 199
 
 
 def test_leaky_program_is_blocked_in_process():

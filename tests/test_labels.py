@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from enclaveflow.errors import LabelError
+from enclaveflow.ifc import IfcContext
 from enclaveflow.labels import (
     CNF,
     CNF_FALSE,
@@ -19,6 +20,7 @@ from enclaveflow.labels import (
     Clause,
     DCLabel,
     EMPTY_PRIVILEGE,
+    LABEL_CACHE_SIZE,
     Principal,
     Privilege,
     can_flow_to,
@@ -37,6 +39,7 @@ from enclaveflow.labels import (
     join,
     meet,
 )
+from enclaveflow.wire import make_labeled
 from label_oracle import (
     enumerate_canonical_cnfs,
     oracle_can_flow_to,
@@ -279,6 +282,62 @@ def test_disjunctive_secret_satisfied_by_one_owner():
     either = DCLabel(cnf({"P1", "P2"}), CNF_TRUE)
     assert can_flow_to_p(Privilege.for_principal("P1"), either, DC_PUBLIC)
     assert can_flow_to_p(Privilege.for_principal("P2"), either, DC_PUBLIC)
+
+
+# --- the memoized operations -----------------------------------------------------
+
+CACHED = (join, downgrade)
+ASSIGNMENTS_TWO = [frozenset(s) for s in ([], ["A"], ["B"], ["A", "B"])]
+
+
+def _check_against_oracle(p: Privilege, l1: DCLabel, l2: DCLabel) -> None:
+    assert can_flow_to(l1, l2) == oracle_can_flow_to(l1, l2)
+    j = join(l1, l2)
+    for x in ASSIGNMENTS_TWO:
+        assert satisfied(j.secrecy, x) == (satisfied(l1.secrecy, x) and satisfied(l2.secrecy, x))
+        assert satisfied(j.integrity, x) == (
+            satisfied(l1.integrity, x) or satisfied(l2.integrity, x)
+        )
+    # downgrade(p, l1) is the label that flows exactly where p lets l1 flow
+    d = downgrade(p, l1)
+    pd = p.description.clauses
+    for m in LABELS_TWO:
+        privileged = oracle_implies(CNF(pd | m.secrecy.clauses), l1.secrecy) and oracle_implies(
+            CNF(pd | l1.integrity.clauses), m.integrity
+        )
+        assert oracle_can_flow_to(d, m) == privileged
+
+
+def test_label_caches_agree_with_oracle_cold_and_warm():
+    rng = random.Random(5)
+    cases = [
+        (rng.choice(PRIVILEGES), rng.choice(LABELS_TWO), rng.choice(LABELS_TWO))
+        for _ in range(200)
+    ]
+    for fn in CACHED:
+        fn.cache_clear()
+    for p, l1, l2 in cases:  # cold: filling the caches
+        _check_against_oracle(p, l1, l2)
+    cold = [fn.cache_info() for fn in CACHED]
+    assert all(info.misses > 0 for info in cold)
+    for p, l1, l2 in cases:  # warm: every answer from the caches
+        _check_against_oracle(p, l1, l2)
+        assert join(l1, l2) == join.__wrapped__(l1, l2)
+        assert downgrade(p, l1) == downgrade.__wrapped__(p, l1)
+    assert [fn.cache_info().misses for fn in CACHED] == [info.misses for info in cold]
+
+
+def test_label_caches_stay_bounded_under_distinct_labels():
+    # a peer that sends ever new labels evicts entries; it cannot grow the caches
+    for fn in CACHED:
+        fn.cache_clear()
+    svc = Privilege.for_principal("svc")
+    template = IfcContext(svc)
+    for i in range(LABEL_CACHE_SIZE + 100):
+        lv = make_labeled(DCLabel(cnf_from_principal(f"P{i}"), CNF_TRUE), i)
+        assert template.clone().unlabel_p(svc, lv) == i
+        assert all(fn.cache_info().currsize <= LABEL_CACHE_SIZE for fn in CACHED)
+    assert [fn.cache_info().currsize for fn in CACHED] == [LABEL_CACHE_SIZE] * 2
 
 
 def test_sole_principal():
