@@ -22,7 +22,7 @@ from .errors import (
     TransportError,
     UsageError,
 )
-from .ifc import IfcContext, LabeledRef
+from .ifc import IfcContext, LabeledRef, make_labeled
 from .labels import (
     CNF,
     CNF_FALSE,
@@ -43,7 +43,7 @@ from .labels import (
     join,
     meet,
 )
-from .wire import decode_message, decode_value, encode_call, encode_value, make_labeled
+from .wire import decode_message, decode_value, encode_call, encode_value
 
 __version__ = "0.1.0"
 

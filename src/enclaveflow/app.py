@@ -26,7 +26,7 @@ from .errors import (
     StagingError,
     UsageError,
 )
-from .ifc import IfcContext, LabeledRef
+from .ifc import IfcContext, LabeledRef, make_labeled
 from .labels import DCLabel, LabeledValue
 from .wire import (
     CallMessage,
@@ -38,7 +38,6 @@ from .wire import (
     encode_result_err,
     encode_result_ok,
     encode_value,
-    make_labeled,
 )
 
 __all__ = [
@@ -53,6 +52,13 @@ __all__ = [
 ENCLAVE_ROLE = "enclave"
 
 _IFC_VIOLATION_RESPONSE = encode_result_err(ErrorCode.IFC_VIOLATION, IFC_VIOLATION_MESSAGE)
+# a raising function's answer while its gate is open, by nearest class in the MRO
+_ERROR_RESPONSES = {
+    IfcViolation: _IFC_VIOLATION_RESPONSE,
+    DecodeError: encode_result_err(ErrorCode.DECODE_ERROR, "malformed payload"),
+    NotReady: encode_result_err(ErrorCode.INTERNAL, "NOT_READY"),
+    Exception: encode_result_err(ErrorCode.INTERNAL, "internal error"),
+}
 
 
 @dataclass(frozen=True)
@@ -97,20 +103,10 @@ class _FnEntry:
 def _type_ok(v: Value, spec: Any) -> bool:
     if spec is None:
         return v is None
-    if spec is bool:
-        return isinstance(v, bool)
-    if spec is int:
+    if spec is int:  # bool is an int subclass, but a distinct wire type
         return isinstance(v, int) and not isinstance(v, bool)
-    if spec is float:
-        return isinstance(v, float)
-    if spec is str:
-        return isinstance(v, str)
-    if spec is bytes:
-        return isinstance(v, bytes)
-    if spec is list:
-        return isinstance(v, list)
-    if spec is LabeledValue:
-        return isinstance(v, LabeledValue)
+    if spec in (bool, float, str, bytes, list, LabeledValue):
+        return isinstance(v, spec)
     raise UsageError(f"unsupported argument type spec: {spec!r}")
 
 
@@ -233,8 +229,8 @@ class App:
     def dispatch(self, request: bytes) -> bytes:
         """One CALL in, one RESULT out.  Runs the function in a fresh
         context cloned from its registration template and consults the
-        output gate before any result byte is produced.  Error responses
-        never carry application data."""
+        output gate before any result or error of the function leaves.
+        Error responses never carry application data."""
         if self.role != ENCLAVE_ROLE:
             raise UsageError("dispatch is enclave-side only")
         try:
@@ -263,20 +259,16 @@ class App:
         assert entry.fn is not None
         try:
             result = entry.fn(ctx, *msg.args)
-        except IfcViolation:
-            return _IFC_VIOLATION_RESPONSE
-        except DecodeError:
-            return encode_result_err(ErrorCode.DECODE_ERROR, "malformed payload")
-        except NotReady:
-            return encode_result_err(ErrorCode.INTERNAL, "NOT_READY")
-        except Exception:  # noqa: BLE001 - opaque by design: no leakage via errors
-            return encode_result_err(ErrorCode.INTERNAL, "internal error")
+        except Exception as e:  # noqa: BLE001 - opaque by design: no leakage via errors
+            if not ctx.output_gate():
+                return _IFC_VIOLATION_RESPONSE
+            return next(_ERROR_RESPONSES[t] for t in type(e).__mro__ if t in _ERROR_RESPONSES)
         if not ctx.output_gate():
             return _IFC_VIOLATION_RESPONSE
         try:
             return encode_result_ok(result)
         except (TypeError, OverflowError):
-            return encode_result_err(ErrorCode.INTERNAL, "internal error")
+            return _ERROR_RESPONSES[Exception]
 
     # --- client side: the gateway ------------------------------------------------
 

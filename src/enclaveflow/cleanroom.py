@@ -30,7 +30,7 @@ from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .app import App
 from .errors import CryptoError, DecodeError, NotReady, UsageError
-from .ifc import IfcContext
+from .ifc import IfcContext, make_labeled
 from .labels import (
     DC_PUBLIC,
     DCLabel,
@@ -39,7 +39,7 @@ from .labels import (
     Privilege,
     cnf_from_principal,
 )
-from .wire import Value, decode_value, encode_value, make_labeled
+from .wire import Value, decode_value, encode_value
 
 __all__ = [
     "Row",
@@ -214,7 +214,7 @@ def build_cleanroom_program(cfg: CleanRoomConfig) -> Callable[[App], None]:
         template = IfcContext(EMPTY_PRIVILEGE)
 
         def datasend(ctx: IfcContext, lrow: LabeledValue) -> None:
-            row_from_value(decode_value(lrow.payload))  # validate, stays labeled
+            row_from_value(lrow.value)  # validate, stays labeled
             ctx.append_ref(db, lrow)
 
         send_ref = app.enclave_fn(template, datasend, (LabeledValue,), name="datasend")

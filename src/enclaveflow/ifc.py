@@ -23,16 +23,18 @@ from .labels import (
     downgrade,
     join,
 )
-from .wire import Value, decode_value, encode_value, make_labeled
+from .wire import Value, encode_value
 
-__all__ = ["IfcContext", "LabeledRef"]
+__all__ = ["IfcContext", "LabeledRef", "make_labeled"]
 
 
 def _copy_value(v: Value) -> Value:
     """A copy of ``v`` that shares no list with it.  Leaves are immutable
     and pass through.  The codec decides what else is a value: an int out
     of i64 range or a non-value raises what ``encode_value`` raises, so a
-    cell only ever holds a wire value."""
+    cell only ever holds a wire value.  Every ``LabeledValue`` and
+    ``LabeledRef`` is filled and emptied through here, so neither shares a
+    list with anyone, and a ``LabeledValue`` inside a value is a leaf."""
     if isinstance(v, list):
         return [_copy_value(item) for item in v]
     if v is None or isinstance(v, (bool, float, str, bytes, LabeledValue)):
@@ -41,11 +43,18 @@ def _copy_value(v: Value) -> Value:
     return v
 
 
+def make_labeled(label: DCLabel, v: Value) -> LabeledValue:
+    """Attach a label to a copy of a value."""
+    return LabeledValue(label, _copy_value(v))
+
+
 @dataclass
 class LabeledRef:
     """A mutable cell with a label fixed at allocation, holding a wire
     value (as LIO's ``LIORef`` holds its value).  Values are copied in and
-    out, so the stored lists change only through a guarded call."""
+    out, so the stored lists change only through a guarded call.  Whether
+    the cell is a list is fixed at allocation (``write_ref`` keeps it), so
+    ``append_ref`` reveals only what the allocator chose."""
 
     label: DCLabel
     cell: Value
@@ -104,13 +113,13 @@ class IfcContext:
     def unlabel(self, lv: LabeledValue) -> Value:
         """Open a labeled value, tainting the context with its label."""
         self._raise_to(join(self.current, lv.label))
-        return decode_value(lv.payload)
+        return _copy_value(lv.value)
 
     def unlabel_p(self, p: Privilege, lv: LabeledValue) -> Value:
         """Open with privilege: the label is downgraded before tainting, so
         clauses the privilege speaks for never stick to the context."""
         self._raise_to(join(self.current, downgrade(p, lv.label)))
-        return decode_value(lv.payload)
+        return _copy_value(lv.value)
 
     def taint(self, l: DCLabel) -> None:
         self._raise_to(join(self.current, l))
@@ -133,7 +142,10 @@ class IfcContext:
 
     def write_ref(self, r: LabeledRef, v: Value) -> None:
         self._require(can_flow_to(self.current, r.label))
-        r.cell = _copy_value(v)
+        v = _copy_value(v)
+        if isinstance(v, list) != isinstance(r.cell, list):
+            raise TypeError("write_ref cannot change whether a ref holds a list")
+        r.cell = v
 
     def append_ref(self, r: LabeledRef, v: Value) -> None:
         """Append ``v`` to a list cell: ``write_ref``'s guard, without

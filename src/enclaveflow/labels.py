@@ -263,12 +263,15 @@ def downgrade(p: Privilege, l: DCLabel) -> DCLabel:
 
 @dataclass(frozen=True)
 class LabeledValue:
-    """A label attached to an opaque codec-encoded payload.  Keeping the
-    payload encoded means the pair crosses serialization boundaries
-    without reinterpretation."""
+    """A label attached to a wire value, as LIO's ``Labeled l a`` holds an
+    ``a``.  Build one with ``ifc.make_labeled`` and open it with
+    ``IfcContext.unlabel``, which copy the value in and out.  Equality is
+    value equality, as Python compares the values: ``1 == True``, and NaN ≠
+    NaN unless both are one float object.  Holding a list makes it
+    unhashable."""
 
     label: DCLabel
-    payload: bytes
+    value: object
 
 
 # --- wire encoding ---------------------------------------------------------

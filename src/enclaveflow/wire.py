@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import DecodeError, ErrorCode, LabelError
-from .labels import DCLabel, LabeledValue, encode_label, read_label
+from .labels import LabeledValue, encode_label, read_label
 
 __all__ = [
     "TAG_UNIT",
@@ -34,7 +34,6 @@ __all__ = [
     "decode_value",
     "read_value",
     "read_string",
-    "make_labeled",
     "CallMessage",
     "ResultOk",
     "ResultErr",
@@ -95,13 +94,8 @@ def encode_value(v: Value) -> bytes:
         parts.extend(encode_value(item) for item in v)
         return b"".join(parts)
     if isinstance(v, LabeledValue):
-        return bytes([TAG_LABELED]) + encode_label(v.label) + v.payload
+        return bytes([TAG_LABELED]) + encode_label(v.label) + encode_value(v.value)
     raise TypeError(f"cannot encode value of type {type(v).__name__}")
-
-
-def make_labeled(label: DCLabel, v: Value) -> LabeledValue:
-    """Attach a label to a value, storing the payload pre-encoded."""
-    return LabeledValue(label, encode_value(v))
 
 
 def read_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Value, int]:
@@ -153,9 +147,8 @@ def read_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Value, int]:
             label, pos = read_label(buf, pos)
         except LabelError as e:
             raise DecodeError(f"bad label in labeled value: {e}") from e
-        start = pos
-        _, pos = read_value(buf, pos, depth + 1)
-        return LabeledValue(label, buf[start:pos]), pos
+        value, pos = read_value(buf, pos, depth + 1)
+        return LabeledValue(label, value), pos
     raise DecodeError(f"unknown value tag 0x{tag:02x}")
 
 

@@ -16,7 +16,10 @@ from enclaveflow.app import (
 )
 from enclaveflow.attest import connect_channel, gen_signing_key
 from enclaveflow.errors import (
+    DecodeError,
     ErrorCode,
+    IfcViolation,
+    NotReady,
     RemoteError,
     StagingError,
     UsageError,
@@ -171,6 +174,15 @@ def test_labeled_state_is_real_only_in_the_enclave():
         _ = got["const"].label  # type: ignore[union-attr]
 
 
+def test_labeled_constant_stores_a_copy():
+    v = [[1], 2]
+    got: dict[str, object] = {}
+    staged(ENCLAVE_ROLE, lambda app: got.setdefault("const", app.labeled_constant(ALICE, v)))
+    v[0].append(9)
+    v.append(3)
+    assert IfcContext(EMPTY_PRIVILEGE).unlabel(got["const"]) == [[1], 2]
+
+
 # --- exactly one body per process ----------------------------------------------------
 
 
@@ -242,7 +254,7 @@ def test_dispatch_accepts_declared_labeled_arg():
         return ctx.unlabel(lv)
 
     app = enclave_app(lambda a: a.enclave_fn(PLAIN, takes_labeled, (LabeledValue,)))
-    lv = LabeledValue(DCLabel(CNF_TRUE, CNF_TRUE), encode_value(9))
+    lv = LabeledValue(DCLabel(CNF_TRUE, CNF_TRUE), 9)
     assert decode_message(app.dispatch(encode_call(0, [lv]))) == ResultOk(9)
 
 
@@ -263,12 +275,12 @@ def test_dispatch_internal_errors_are_opaque():
 
 def test_dispatch_ifc_violation_is_byte_identical_across_secrets():
     def leak_alice(ctx):
-        return ctx.unlabel(LabeledValue(ALICE, encode_value("a")))
+        return ctx.unlabel(LabeledValue(ALICE, "a"))
 
     bob = DCLabel(cnf_from_principal("Bob"), CNF_TRUE)
 
     def leak_bob(ctx):
-        return ctx.unlabel(LabeledValue(bob, encode_value("b")))
+        return ctx.unlabel(LabeledValue(bob, "b"))
 
     app = enclave_app(
         lambda a: (a.enclave_fn(PLAIN, leak_alice, ()), a.enclave_fn(PLAIN, leak_bob, ()))
@@ -322,6 +334,79 @@ def test_dispatch_not_ready_mapping():
     assert reply == ResultErr(ErrorCode.INTERNAL, "NOT_READY")
 
 
+# --- errors obey the output gate ----------------------------------------------------------
+
+SVC = DCLabel(cnf_from_principal("svc"), cnf_from_principal("svc"))
+IFC_VIOLATION = ResultErr(ErrorCode.IFC_VIOLATION, "information flow violation")
+
+
+class RowError(DecodeError):
+    pass
+
+
+def probe_program(raised: type[Exception], *, ifc_enforce: bool = True) -> App:
+    """A function with no privilege opens the svc secret and raises or not
+    on one guessed character.  If the error code escaped the output gate,
+    each call would tell a client whether the guess was right."""
+    app = App(ENCLAVE_ROLE, ifc_enforce=ifc_enforce)
+    stored = app.labeled_constant(SVC, "s3cr3t")
+
+    def probe(ctx: IfcContext, i: int, c: str) -> None:
+        if ctx.unlabel(stored)[i] == c:
+            raise raised()
+
+    app.enclave_fn(PLAIN, probe, (int, str), name="probe")
+    app.freeze()
+    return app
+
+
+@pytest.mark.parametrize("raised", [RuntimeError, DecodeError, RowError, NotReady, IfcViolation])
+def test_dispatch_errors_obey_the_output_gate(raised):
+    app = probe_program(raised)
+    replies = {app.dispatch(encode_call(0, [i, c])) for i in range(6) for c in "s3crtx"}
+    assert [decode_message(r) for r in replies] == [IFC_VIOLATION]
+
+
+@pytest.mark.parametrize(
+    "raised, code, message",
+    [
+        (RuntimeError, ErrorCode.INTERNAL, "internal error"),
+        (DecodeError, ErrorCode.DECODE_ERROR, "malformed payload"),
+        (RowError, ErrorCode.DECODE_ERROR, "malformed payload"),
+        (NotReady, ErrorCode.INTERNAL, "NOT_READY"),
+        (IfcViolation, ErrorCode.IFC_VIOLATION, "information flow violation"),
+    ],
+)
+def test_dispatch_errors_unenforced_keep_their_answers(raised, code, message):
+    app = probe_program(raised, ifc_enforce=False)
+    assert decode_message(app.dispatch(encode_call(0, [0, "s"]))) == ResultErr(code, message)
+    assert decode_message(app.dispatch(encode_call(0, [0, "x"]))) == ResultOk(None)
+
+
+def test_ref_shape_tells_a_public_appender_nothing():
+    # A writer tainted by Alice picks the shape of an Alice-labeled list
+    # cell from her secret; a public appender then calls.  Both calls must
+    # read the same whatever the secret.
+    def run(secret: bool) -> list[bytes]:
+        app = App(ENCLAVE_ROLE)
+        stored = app.labeled_constant(ALICE, secret)
+        cell = app.labeled_ref(ALICE, [])
+
+        def write(ctx: IfcContext) -> None:
+            ctx.write_ref(cell, [] if ctx.unlabel(stored) else 0)
+
+        def append(ctx: IfcContext) -> None:
+            ctx.append_ref(cell, 1)
+
+        app.enclave_fn(PLAIN, write, (), name="write")
+        app.enclave_fn(PLAIN, append, (), name="append")
+        app.freeze()
+        return [app.dispatch(encode_call(call_id, [])) for call_id in (0, 1)]
+
+    assert run(True) == run(False)
+    assert [decode_message(r) for r in run(False)] == [IFC_VIOLATION, ResultOk(None)]
+
+
 def test_dispatch_only_in_enclave_role():
     app = App("c")
     app.run_client("c", lambda a: None)
@@ -367,6 +452,17 @@ def test_password_checker_in_process():
         serve=False,
     )
     assert results == {"right": True, "wrong": False}
+
+
+def test_password_checker_hashes_no_labeled_value(monkeypatch):
+    # A LabeledValue holding a list is unhashable, so nothing may hash one.
+    def refuse(self):
+        raise AssertionError("a LabeledValue was hashed")
+
+    monkeypatch.setattr(LabeledValue, "__hash__", refuse)
+    with pytest.raises(AssertionError):
+        hash(LabeledValue(ALICE, 1))
+    test_password_checker_in_process()
 
 
 def test_gateway_surfaces_remote_errors():

@@ -30,12 +30,13 @@ from enclaveflow.errors import (
     RemoteError,
     UsageError,
 )
-from enclaveflow.ifc import IfcContext
+from enclaveflow.ifc import IfcContext, make_labeled
 from enclaveflow.labels import (
     CNF_TRUE,
     DC_PUBLIC,
     DCLabel,
     EMPTY_PRIVILEGE,
+    LabeledValue,
     Privilege,
     cnf,
     read_label,
@@ -46,7 +47,6 @@ from enclaveflow.wire import (
     decode_message,
     decode_value,
     encode_call,
-    make_labeled,
 )
 
 P1 = Privilege.for_principal("P1")
@@ -287,6 +287,17 @@ def test_end_to_end_five_rows(tmp_path):
     (strain, mean), = captured[0]
     assert strain == "alpha" and abs(mean - 100 / 3) < 1e-9
     assert out.getvalue() == "alpha\t33.3333\n"
+
+
+def test_end_to_end_hashes_no_labeled_value(monkeypatch, tmp_path):
+    # A LabeledValue holding a list is unhashable, so nothing may hash one.
+    def refuse(self):
+        raise AssertionError("a LabeledValue was hashed")
+
+    monkeypatch.setattr(LabeledValue, "__hash__", refuse)
+    with pytest.raises(AssertionError):
+        hash(make_labeled(DC_PUBLIC, 1))
+    test_end_to_end_five_rows(tmp_path)
 
 
 def test_end_to_end_randomized_against_oracle():

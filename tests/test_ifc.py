@@ -8,7 +8,7 @@ import random
 import pytest
 
 from enclaveflow.errors import IfcViolation
-from enclaveflow.ifc import IfcContext, LabeledRef
+from enclaveflow.ifc import IfcContext, LabeledRef, make_labeled
 from enclaveflow.labels import (
     CNF_TRUE,
     DC_PUBLIC,
@@ -20,7 +20,6 @@ from enclaveflow.labels import (
     cnf,
     cnf_from_principal,
 )
-from enclaveflow.wire import encode_value, make_labeled
 from label_oracle import enumerate_canonical_cnfs
 
 ALICE = DCLabel(cnf_from_principal("Alice"), CNF_TRUE)
@@ -39,8 +38,18 @@ def fresh(privilege: Privilege = EMPTY_PRIVILEGE, **kw) -> IfcContext:
 def test_label_seals_at_higher_label():
     ctx = fresh()
     lv = ctx.label(ALICE, "password")
-    assert lv.label == ALICE and lv.payload == encode_value("password")
+    assert lv.label == ALICE and lv.value == "password"
     assert ctx.current == DC_PUBLIC  # context unchanged
+
+
+def test_label_and_label_p_store_a_copy():
+    ctx = fresh(P_ALICE)
+    for seal in (lambda v: ctx.label(ALICE, v), lambda v: ctx.label_p(P_ALICE, ALICE, v)):
+        v = [[1], 2]
+        lv = seal(v)
+        v[0].append(9)
+        v.append(3)
+        assert ctx.unlabel(lv) == [[1], 2]
 
 
 def test_label_at_current_is_allowed():
@@ -100,6 +109,15 @@ def test_unlabel_taints_and_returns():
     lv = make_labeled(ALICE, "secret")
     assert ctx.unlabel(lv) == "secret"
     assert ctx.current == ALICE
+
+
+def test_unlabel_and_unlabel_p_return_a_copy():
+    lv = make_labeled(ALICE_BOTH, [[1], 2])
+    for open_ in (fresh().unlabel, lambda lv: fresh(P_ALICE).unlabel_p(P_ALICE, lv)):
+        got = open_(lv)
+        got[0].append(9)
+        got.append(3)
+        assert open_(lv) == [[1], 2]
 
 
 def test_unlabel_at_current_label_is_stable():
@@ -313,6 +331,18 @@ def test_append_ref_unenforced_still_appends():
     ctx.append_ref(r, 1)
     assert r.cell == [1]
     assert ctx.current == ALICE
+
+
+def test_write_ref_keeps_the_shape_fixed_at_allocation():
+    ctx = fresh()
+    lst, scalar = ctx.new_ref(DC_PUBLIC, []), ctx.new_ref(DC_PUBLIC, 0)
+    for r, v in ((lst, 0), (lst, None), (lst, make_labeled(ALICE, [])), (scalar, []), (scalar, [1])):
+        with pytest.raises(TypeError):
+            ctx.write_ref(r, v)
+    assert lst.cell == [] and scalar.cell == 0
+    ctx.write_ref(lst, [1])
+    ctx.write_ref(scalar, "s")
+    assert (lst.cell, scalar.cell) == ([1], "s")
 
 
 def test_append_ref_needs_a_list_cell():

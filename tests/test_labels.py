@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from enclaveflow.errors import LabelError
-from enclaveflow.ifc import IfcContext
+from enclaveflow.ifc import IfcContext, make_labeled
 from enclaveflow.labels import (
     CNF,
     CNF_FALSE,
@@ -39,7 +39,6 @@ from enclaveflow.labels import (
     join,
     meet,
 )
-from enclaveflow.wire import make_labeled
 from label_oracle import (
     enumerate_canonical_cnfs,
     oracle_can_flow_to,

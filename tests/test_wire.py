@@ -7,10 +7,24 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from enclaveflow.errors import DecodeError, ErrorCode
-from enclaveflow.labels import DC_PUBLIC, DCLabel, CNF_TRUE, cnf_from_principal
+from enclaveflow.ifc import make_labeled
+from enclaveflow.labels import (
+    CNF,
+    CNF_FALSE,
+    CNF_TRUE,
+    DC_PUBLIC,
+    Clause,
+    DCLabel,
+    Principal,
+    cnf_from_principal,
+    cnf_reduce,
+)
 from enclaveflow.wire import (
+    I64_MAX,
+    I64_MIN,
     CallMessage,
     ResultErr,
     ResultOk,
@@ -20,7 +34,6 @@ from enclaveflow.wire import (
     encode_result_err,
     encode_result_ok,
     encode_value,
-    make_labeled,
 )
 from value_gen import random_value
 
@@ -85,8 +98,7 @@ def test_unicode_string_roundtrip():
 
 def test_labeled_payload_stays_encoded():
     lv = make_labeled(DC_PUBLIC, [1, "x"])
-    assert lv.payload == encode_value([1, "x"])
-    assert decode_value(lv.payload) == [1, "x"]
+    assert lv.value == [1, "x"]
     back = decode_value(encode_value(lv))
     assert back == lv
 
@@ -108,6 +120,74 @@ def test_random_roundtrips_are_byte_exact():
         b = encode_value(v)
         v2 = decode_value(b)
         assert encode_value(v2) == b
+
+
+# Re-encoding what was decoded must give back the very bytes, so a labeled
+# value can hold its decoded value and still leave as it arrived.
+
+_F64 = struct.Struct(">d")
+# NaNs with payloads, the quiet NaN, and -0.0
+_FLOAT_PATTERNS = ["7ff0000000000001", "fff8000000000abc", "7ff8000000000000", "8000000000000000"]
+
+cnf_st = st.one_of(
+    st.just(CNF_FALSE),
+    st.frozensets(
+        st.frozensets(st.sampled_from(["Alice", "Bob", "P1", "ω"]), min_size=1, max_size=3),
+        max_size=3,
+    ).map(
+        lambda groups: cnf_reduce(
+            CNF(frozenset(Clause(frozenset(Principal(n) for n in g)) for g in groups))
+        )
+    ),
+)
+label_st = st.builds(DCLabel, cnf_st, cnf_st)
+float_st = st.one_of(
+    st.binary(min_size=8, max_size=8),
+    st.sampled_from([bytes.fromhex(h) for h in _FLOAT_PATTERNS]),
+).map(lambda raw: _F64.unpack(raw)[0])
+value_st = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(I64_MIN, I64_MAX),
+        float_st,
+        st.text(max_size=8),
+        st.binary(max_size=8),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.builds(make_labeled, label_st, inner)
+    ),
+    max_leaves=12,
+)
+
+
+def _overwrite(encoded: bytes, at: int, byte: int) -> bytes:
+    at %= len(encoded)
+    return encoded[:at] + bytes([byte]) + encoded[at + 1 :]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(value_st)
+def test_generated_values_reencode_byte_identically(v):
+    b = encode_value(v)
+    assert encode_value(decode_value(b)) == b
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=32),
+        st.builds(_overwrite, value_st.map(encode_value), st.integers(0, 255), st.integers(0, 255)),
+    )
+)
+@example(b"\x04" + bytes.fromhex("7ff0000000000001"))
+@example(b"\x07\x00\x00\x00\x00" + b"\x04" + bytes.fromhex("fff8000000000abc"))
+def test_accepted_bytes_reencode_byte_identically(b):
+    try:
+        v = decode_value(b)
+    except DecodeError:
+        return
+    assert encode_value(v) == b
 
 
 # --- malformed input -------------------------------------------------------------

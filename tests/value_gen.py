@@ -12,7 +12,8 @@ from enclaveflow.labels import (
     Principal,
     cnf_reduce,
 )
-from enclaveflow.wire import I64_MAX, I64_MIN, Value, make_labeled
+from enclaveflow.ifc import make_labeled
+from enclaveflow.wire import I64_MAX, I64_MIN, Value
 
 NAMES = ["Alice", "Bob", "Carol", "P1", "P2", "ω"]
 
