@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
-from .attest import Monitor, compute_measurement
+from .attest import compute_measurement
 from .errors import (
     IFC_VIOLATION_MESSAGE,
     DecodeError,
@@ -154,7 +154,6 @@ class App:
         self._entries: list[_FnEntry] = []
         self._client_names: list[str] = []
         self._frozen = False
-        self.monitor: Monitor | None = None
 
     # --- staging -----------------------------------------------------------
 
@@ -272,27 +271,33 @@ class App:
 
     # --- client side: the gateway ------------------------------------------------
 
-    def _open_channel(self):
-        if self._gateway_factory is None:
-            raise UsageError("this role has no gateway configured")
-        return self._gateway_factory()
-
     def gateway(self, s: SecureRef) -> Value:
         """Invoke a fully-applied SecureRef on the enclave and return the
-        decoded result; enclave-side errors surface as RemoteError."""
+        decoded result; enclave-side errors surface as RemoteError.  Any
+        other failure drops the held channel and still fails the call:
+        nothing is sent twice."""
         if len(s.args) != s.arity:
             raise UsageError(
                 f"gateway call needs {s.arity} argument(s), got {len(s.args)}"
             )
+        if self._gateway_factory is None:
+            raise UsageError("this role has no gateway configured")
         if self._per_call_channel:
-            channel = self._open_channel()
+            channel = self._gateway_factory()
             try:
                 return self._exchange(channel, s)
             finally:
                 channel.close()
         if self._channel is None:
-            self._channel = self._open_channel()
-        return self._exchange(self._channel, s)
+            self._channel = self._gateway_factory()
+        try:
+            return self._exchange(self._channel, s)
+        except RemoteError:
+            raise  # the enclave answered: the session is in step
+        except BaseException:
+            # dead or out of step: drop it, so the next call handshakes anew
+            self.close()
+            raise
 
     @staticmethod
     def _exchange(channel, s: SecureRef) -> Value:
@@ -315,23 +320,16 @@ def run_app(
     program: Callable[[App], None],
     *,
     code_version: str = "app-0.1",
-    config_bytes: bytes = b"",
-    host: str = "127.0.0.1",
-    port: int = 0,
-    authority_private=None,
-    credentials=None,
-    attested: bool = True,
-    verify_client: bool = True,
     ifc_enforce: bool = True,
     gateway_factory: Callable[[], Any] | None = None,
     per_call_channel: bool = False,
-    serve: bool = True,
 ) -> App:
-    """Stage ``program`` for ``role`` and run that role's part.
+    """Stage ``program`` for ``role`` and return the frozen App.
 
-    Enclave role: builds the monitor over the dispatch table and (unless
-    ``serve`` is False) serves until stopped.  Client roles: the matching
-    ``run_client`` body has already executed inline during staging.
+    A client role's ``run_client`` body runs inline during staging; its
+    held channel is closed once staging ends, however it ends.  The
+    enclave role only stages: whoever serves it builds ``attest.Monitor``
+    over ``app.dispatch`` and ``app.measurement(config_bytes)``.
     """
     app = App(
         role,
@@ -344,21 +342,7 @@ def run_app(
         program(app)
     finally:
         app.freeze()
+        app.close()
     if role != ENCLAVE_ROLE and role not in app.client_names:
         raise UsageError(f"unknown role {role!r}")
-    if role == ENCLAVE_ROLE:
-        app.monitor = Monitor(
-            host,
-            port,
-            app.dispatch,
-            measurement=app.measurement(config_bytes),
-            authority_private=authority_private,
-            credentials=credentials,
-            attested=attested,
-            verify_client=verify_client,
-        )
-        if serve:
-            app.monitor.serve_forever()
-    else:
-        app.close()
     return app

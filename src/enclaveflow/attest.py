@@ -65,6 +65,7 @@ __all__ = [
     "MSG_RECORD",
     "MAX_FRAME",
     "HANDSHAKE_DEADLINE_S",
+    "IDLE_TIMEOUT_S",
     "send_frame",
     "recv_frame",
     "compute_measurement",
@@ -94,6 +95,8 @@ MAX_FRAME = 1 << 24  # 16 MiB; anything bigger is hostile at this scale
 # handshake_server's whole budget, across all of its reads: a peer that
 # trickles its hello cannot hold the one-at-a-time monitor for longer
 HANDSHAKE_DEADLINE_S = 5.0
+# every read after the handshake: an idle peer gives way to the next one
+IDLE_TIMEOUT_S = 30.0
 
 _U32 = struct.Struct(">I")
 _ZERO_SIG = bytes(64)
@@ -492,7 +495,7 @@ class Monitor:
             self.listener.close()
 
     def serve_connection(self, conn: socket.socket) -> None:
-        conn.settimeout(30.0)
+        conn.settimeout(IDLE_TIMEOUT_S)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if self.attested:
             assert self.authority_private is not None

@@ -15,6 +15,7 @@ Exit codes: 0 ok, 1 internal error, 2 usage, 3 attestation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -26,7 +27,7 @@ import threading
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .app import ENCLAVE_ROLE, App, run_app
 from .attest import (
@@ -334,20 +335,52 @@ def cmd_provision(args: argparse.Namespace) -> int:
 
 def _stage_enclave(cfg: RunConfig, authority_private, credentials) -> Monitor:
     """Stage ``cfg``'s enclave and bind its monitor, not yet serving."""
-    return run_app(
+    app = run_app(
         ENCLAVE_ROLE,
         _build_program(cfg, ENCLAVE_ROLE),
         code_version=_code_version(cfg),
-        config_bytes=_measurement_config_bytes(cfg),
-        host=cfg.host,
-        port=cfg.port,
+        ifc_enforce=cfg.ifc,
+    )
+    return Monitor(
+        cfg.host,
+        cfg.port,
+        app.dispatch,
+        measurement=app.measurement(_measurement_config_bytes(cfg)),
         authority_private=authority_private,
         credentials=credentials,
         attested=cfg.attestation,
         verify_client=cfg.client_sig,
-        ifc_enforce=cfg.ifc,
-        serve=False,
-    ).monitor
+    )
+
+
+@contextlib.contextmanager
+def _inprocess_enclaves(cfgs: list[RunConfig]) -> Iterator[list[tuple[Monitor, Callable]]]:
+    """Serve each config's enclave on a daemon thread of this process, under
+    fresh in-memory keys, and yield ``(monitor, connect)`` per config:
+    ``connect(port, **overrides)`` reaches it as ``user``, pinned to its
+    measurement, signing only where it verifies.  Stops them all on exit."""
+    authority = gen_signing_key()
+    user_key = gen_signing_key()
+    credentials = {"user": user_key.public_key()}
+    served = []
+    try:
+        for cfg in cfgs:
+            monitor = _stage_enclave(cfg, authority, credentials)
+            threading.Thread(target=monitor.serve_forever, daemon=True).start()
+            connect = functools.partial(
+                connect_channel,
+                cfg.host,
+                attested=cfg.attestation,
+                client_name="user",
+                signing_key=user_key if cfg.client_sig else None,
+                expected_measurement=monitor.measurement,
+                authority_public=authority.public_key(),
+            )
+            served.append((monitor, connect))
+        yield served
+    finally:
+        for monitor, _ in served:
+            monitor.stop()
 
 
 def cmd_enclave(args: argparse.Namespace) -> int:
@@ -363,11 +396,11 @@ def cmd_enclave(args: argparse.Namespace) -> int:
         }
 
     monitor = _stage_enclave(cfg, authority_private, credentials)
-    print(
-        f"ENCLAVE LISTENING {monitor.host} {monitor.port} {monitor.measurement.hex()}",
-        flush=True,
-    )
-    try:
+    try:  # from the announcement on, SIGINT is a clean stop
+        print(
+            f"ENCLAVE LISTENING {monitor.host} {monitor.port} {monitor.measurement.hex()}",
+            flush=True,
+        )
         monitor.serve_forever()
     except KeyboardInterrupt:
         pass
@@ -406,11 +439,8 @@ def cmd_client(args: argparse.Namespace) -> int:
     run_app(
         args.role,
         _build_program(cfg, args.role),
-        code_version=_code_version(cfg),
-        config_bytes=_measurement_config_bytes(cfg),
         gateway_factory=_gateway_factory(cfg, args.role),
         per_call_channel=cfg.per_call_handshake,
-        serve=False,
     )
     return EXIT_OK
 
@@ -436,9 +466,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.iterations < 1:
         raise UsageError("iterations must be >= 1")
     cfg = RunConfig(app="password-checker", port=0)
-    authority = gen_signing_key()
-    user_key = gen_signing_key()
-    credentials = {"user": user_key.public_key()}
     request = encode_call(0, [cfg.password])
 
     def one_call(label: str, connect) -> tuple[float, bytes]:
@@ -454,23 +481,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise TransportError(f"{label}: unexpected bench reply")
         return elapsed_ms, raw
 
-    monitors = []
-    connects = {}
-    try:
-        for label, attested, client_sig, ifc in BENCH_CONFIGS:
-            row = replace(cfg, attestation=attested, client_sig=client_sig, ifc=ifc)
-            monitor = _serve_inprocess(row, authority, credentials)
-            monitors.append(monitor)
-            connects[label] = functools.partial(
-                connect_channel,
-                row.host,
-                monitor.port,
-                attested=row.attestation,
-                client_name="user",
-                signing_key=user_key if row.client_sig else None,
-                expected_measurement=monitor.measurement,
-                authority_public=authority.public_key(),
-            )
+    rows = [
+        replace(cfg, attestation=attested, client_sig=client_sig, ifc=ifc)
+        for _, attested, client_sig, ifc in BENCH_CONFIGS
+    ]
+    with _inprocess_enclaves(rows) as served:
+        connects = {
+            label: functools.partial(connect, monitor.port)
+            for (label, *_), (monitor, connect) in zip(BENCH_CONFIGS, served)
+        }
 
         # Round-robin: one call per config per round, so drift in machine
         # speed lands on every config alike.  Each round's order is a seeded
@@ -485,9 +504,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 elapsed_ms, payloads[label] = one_call(label, connects[label])
                 if round_no >= warmup:
                     samples[label].append(elapsed_ms)
-    finally:
-        for monitor in monitors:
-            monitor.stop()
     if payloads["ifc-on"] != payloads["ifc-off"]:
         raise TransportError("ifc-on and ifc-off produced different result payloads")
 
@@ -500,13 +516,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 # --- attack drills ---------------------------------------------------------------------
-
-
-def _serve_inprocess(cfg: RunConfig, authority_private, credentials) -> Monitor:
-    """Stage and serve ``cfg``'s enclave on a daemon thread of this process."""
-    monitor = _stage_enclave(cfg, authority_private, credentials)
-    threading.Thread(target=monitor.serve_forever, daemon=True).start()
-    return monitor
 
 
 def _one_shot_proxy(
@@ -636,40 +645,18 @@ def _attack_replayed_attest(port: int, connect):
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    authority = gen_signing_key()
-    user_key = gen_signing_key()
-    credentials = {"user": user_key.public_key()}
-
-    monitors = [
-        _serve_inprocess(
-            RunConfig(app=app, port=0, client_sig=not args.no_client_sig), authority, credentials
-        )
+    cfgs = [
+        RunConfig(app=app, port=0, client_sig=not args.no_client_sig)
         for app in ("password-checker", "attack-demo")
     ]
-    try:
-        pwd, leak = (
-            (
-                monitor.port,
-                functools.partial(
-                    connect_channel,
-                    "127.0.0.1",
-                    client_name="user",
-                    signing_key=user_key,
-                    expected_measurement=monitor.measurement,
-                    authority_public=authority.public_key(),
-                ),
-            )
-            for monitor in monitors
-        )
+    with _inprocess_enclaves(cfgs) as served:
+        pwd, leak = ((monitor.port, connect) for monitor, connect in served)
         results = [
             _attack_tampered_record(*pwd),
             _attack_unknown_client(*pwd),
             _attack_leaky_function(*leak),
             _attack_replayed_attest(*pwd),
         ]
-    finally:
-        for monitor in monitors:
-            monitor.stop()
 
     for name, blocked, detail in results:
         print(f"{name}: {'PASS' if blocked else 'FAIL'} ({detail})")

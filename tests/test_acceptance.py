@@ -17,7 +17,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from enclaveflow.app import ENCLAVE_ROLE, App, run_app
-from enclaveflow.attest import connect_channel, gen_signing_key
+from enclaveflow.attest import Monitor, connect_channel, gen_signing_key
 from enclaveflow.cleanroom import (
     CleanRoomConfig,
     Row,
@@ -155,26 +155,26 @@ def test_criterion_4_password_checker_end_to_end():
     authority = gen_signing_key()
     user_key = gen_signing_key()
     config_bytes = b"acceptance-pwd"
-    enclave = run_app(
-        ENCLAVE_ROLE,
-        build_password_program("password"),
-        config_bytes=config_bytes,
-        port=0,
+    enclave = run_app(ENCLAVE_ROLE, build_password_program("password"))
+    monitor = Monitor(
+        "127.0.0.1",
+        0,
+        enclave.dispatch,
+        measurement=enclave.measurement(config_bytes),
         authority_private=authority,
         credentials={"user": user_key.public_key()},
-        serve=False,
     )
     dispatched: list[bytes] = []
-    inner = enclave.monitor.dispatch
+    inner = monitor.dispatch
 
     def spy(request: bytes) -> bytes:
         dispatched.append(request)
         return inner(request)
 
-    enclave.monitor.dispatch = spy
-    threading.Thread(target=enclave.monitor.serve_forever, daemon=True).start()
+    monitor.dispatch = spy
+    threading.Thread(target=monitor.serve_forever, daemon=True).start()
     measurement = enclave.measurement(config_bytes)
-    port = enclave.monitor.port
+    port = monitor.port
 
     def run_user(guess: str, expected: bytes) -> str:
         out = io.StringIO()
@@ -183,7 +183,6 @@ def test_criterion_4_password_checker_end_to_end():
             build_password_program(
                 "password", out=out, guess_source=io.StringIO(guess + "\n")
             ),
-            config_bytes=config_bytes,
             gateway_factory=lambda: connect_channel(
                 "127.0.0.1",
                 port,
@@ -192,7 +191,6 @@ def test_criterion_4_password_checker_end_to_end():
                 expected_measurement=expected,
                 authority_public=authority.public_key(),
             ),
-            serve=False,
         )
         return out.getvalue()
 
@@ -205,7 +203,7 @@ def test_criterion_4_password_checker_end_to_end():
             run_user("password", bytes(32))  # wrong expected measurement
         quiet = len(dispatched) == before  # nothing reached dispatch
     finally:
-        enclave.monitor.stop()
+        monitor.stop()
     elapsed = time.monotonic() - t0
     report(
         4,
@@ -252,15 +250,18 @@ def test_criterion_6_cleanroom_correctness(tmp_path):
     enclave = run_app(
         ENCLAVE_ROLE,
         build_cleanroom_program(CleanRoomConfig(consumer_public=consumer.public_key())),
-        config_bytes=config_bytes,
-        port=0,
+    )
+    monitor = Monitor(
+        "127.0.0.1",
+        0,
+        enclave.dispatch,
+        measurement=enclave.measurement(config_bytes),
         authority_private=authority,
         credentials=credentials,
-        serve=False,
     )
-    threading.Thread(target=enclave.monitor.serve_forever, daemon=True).start()
+    threading.Thread(target=monitor.serve_forever, daemon=True).start()
     measurement = enclave.measurement(config_bytes)
-    port = enclave.monitor.port
+    port = monitor.port
 
     captured: list[list[tuple[str, float]]] = []
     out = io.StringIO()
@@ -279,7 +280,6 @@ def test_criterion_6_cleanroom_correctness(tmp_path):
                         on_result=captured.append,
                     )
                 ),
-                config_bytes=config_bytes,
                 gateway_factory=lambda role=role: connect_channel(
                     "127.0.0.1",
                     port,
@@ -288,10 +288,9 @@ def test_criterion_6_cleanroom_correctness(tmp_path):
                     expected_measurement=measurement,
                     authority_public=authority.public_key(),
                 ),
-                serve=False,
             )
     finally:
-        enclave.monitor.stop()
+        monitor.stop()
     pinned_ok = (
         len(captured) == 1
         and len(captured[0]) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from enclaveflow.app import (
     SecureRef,
     run_app,
 )
-from enclaveflow.attest import connect_channel, gen_signing_key
+from enclaveflow.attest import Monitor, connect_channel, gen_signing_key
 from enclaveflow.errors import (
     DecodeError,
     ErrorCode,
@@ -22,6 +23,7 @@ from enclaveflow.errors import (
     NotReady,
     RemoteError,
     StagingError,
+    TransportError,
     UsageError,
 )
 from enclaveflow.ifc import IfcContext, LabeledRef
@@ -208,7 +210,7 @@ def test_exactly_one_body_runs():
 
 def test_unknown_role_rejected():
     with pytest.raises(UsageError):
-        run_app("nosuch", make_traced_program([]), serve=False)
+        run_app("nosuch", make_traced_program([]))
 
 
 # --- dispatch -----------------------------------------------------------------------
@@ -449,7 +451,6 @@ def test_password_checker_in_process():
         "client",
         password_program(results),
         gateway_factory=lambda: DirectChannel(server.dispatch),
-        serve=False,
     )
     assert results == {"right": True, "wrong": False}
 
@@ -485,7 +486,6 @@ def test_gateway_surfaces_remote_errors():
             "client",
             program,
             gateway_factory=lambda: DirectChannel(server.dispatch),
-            serve=False,
         )
     assert exc.value.code == ErrorCode.IFC_VIOLATION
     assert exc.value.message == "information flow violation"
@@ -498,16 +498,68 @@ def test_per_call_channel_opens_one_channel_per_call():
 
     server = staged(ENCLAVE_ROLE, program)
     opened: list[int] = []
+    closed: list[int] = []
+
+    class CountingChannel(DirectChannel):
+        def close(self) -> None:
+            closed.append(1)
 
     def factory():
         opened.append(1)
-        return DirectChannel(server.dispatch)
+        return CountingChannel(server.dispatch)
 
-    run_app("c", program, gateway_factory=factory, per_call_channel=True, serve=False)
+    run_app("c", program, gateway_factory=factory, per_call_channel=True)
     assert len(opened) == 3
+    assert len(closed) == 3
     opened.clear()
-    run_app("c", program, gateway_factory=factory, serve=False)
+    closed.clear()
+    run_app("c", program, gateway_factory=factory)
     assert len(opened) == 1  # session reuse
+    assert len(closed) == 1  # run_app closes the held channel
+
+
+def test_gateway_drops_a_dead_session_and_the_next_call_handshakes_anew():
+    def program(app: App):
+        secret = app.labeled_constant(ALICE, 7)
+        app.enclave_fn(PLAIN, add, (int, int))
+        app.enclave_fn(PLAIN, lambda ctx: ctx.unlabel(secret), (), name="leaky")
+
+    server = staged(ENCLAVE_ROLE, program)
+    opened: list[int] = []
+    closed: list[int] = []
+
+    class TwoCallChannel(DirectChannel):
+        """Answers two calls, then fails as a connection the peer closed."""
+
+        answered = 0
+
+        def send_message(self, body: bytes) -> None:
+            if self.answered == 2:
+                raise TransportError("connection closed mid-frame")
+            self.answered += 1
+            super().send_message(body)
+
+        def close(self) -> None:
+            closed.append(1)
+
+    def factory():
+        opened.append(1)
+        return TwoCallChannel(server.dispatch)
+
+    client = App("c", gateway_factory=factory)
+    add_call = SecureRef(0, 2).apply(1).apply(2)
+    assert client.gateway(add_call) == 3
+    with pytest.raises(RemoteError):
+        client.gateway(SecureRef(1, 0))  # the enclave answered: the session is kept
+    assert (len(opened), len(closed)) == (1, 0)
+    with pytest.raises(TransportError):
+        client.gateway(add_call)  # the failing call still fails: nothing is resent
+    assert (len(opened), len(closed)) == (1, 1)
+    assert client.gateway(add_call) == 3
+    assert client.gateway(add_call) == 3
+    assert (len(opened), len(closed)) == (2, 1)
+    client.close()
+    assert len(closed) == 2
 
 
 def test_ifc_enforcement_can_be_disabled_for_bench():
@@ -538,16 +590,16 @@ def test_password_checker_over_attested_socket():
     creds = {"client": client_key.public_key()}
     results: dict = {}
 
-    server = run_app(
-        ENCLAVE_ROLE,
-        password_program({}),
-        config_bytes=b"cfg",
+    server = run_app(ENCLAVE_ROLE, password_program({}))
+    monitor = Monitor(
+        "127.0.0.1",
+        0,
+        server.dispatch,
+        measurement=server.measurement(b"cfg"),
         authority_private=authority,
         credentials=creds,
-        serve=False,
     )
-    assert server.monitor is not None
-    t = threading.Thread(target=server.monitor.serve_forever, daemon=True)
+    t = threading.Thread(target=monitor.serve_forever, daemon=True)
     t.start()
     try:
         expected = server.measurement(b"cfg")
@@ -555,15 +607,70 @@ def test_password_checker_over_attested_socket():
         def factory():
             return connect_channel(
                 "127.0.0.1",
-                server.monitor.port,
+                monitor.port,
                 client_name="client",
                 signing_key=client_key,
                 expected_measurement=expected,
                 authority_public=authority.public_key(),
             )
 
-        run_app("client", password_program(results), gateway_factory=factory, serve=False)
+        run_app("client", password_program(results), gateway_factory=factory)
         assert results == {"right": True, "wrong": False}
     finally:
-        server.monitor.stop()
+        monitor.stop()
+        t.join()
+
+
+def test_idle_peer_gives_way_and_its_app_recovers(monkeypatch):
+    # The monitor serves one connection at a time.  A held session that goes
+    # idle past IDLE_TIMEOUT_S is closed, the client queued behind it is
+    # served, and the idle client's next call fails once, after which its
+    # App handshakes anew.
+    idle_timeout = 0.3
+    monkeypatch.setattr("enclaveflow.attest.IDLE_TIMEOUT_S", idle_timeout)
+    authority = gen_signing_key()
+    keys = {name: gen_signing_key() for name in ("idle", "other")}
+    server = staged(ENCLAVE_ROLE, lambda app: app.enclave_fn(PLAIN, add, (int, int)))
+    monitor = Monitor(
+        "127.0.0.1",
+        0,
+        server.dispatch,
+        measurement=server.measurement(b""),
+        authority_private=authority,
+        credentials={name: key.public_key() for name, key in keys.items()},
+    )
+    t = threading.Thread(target=monitor.serve_forever, daemon=True)
+    t.start()
+    opened: list[str] = []
+
+    def client(name: str) -> App:
+        def factory():
+            opened.append(name)
+            return connect_channel(
+                "127.0.0.1",
+                monitor.port,
+                client_name=name,
+                signing_key=keys[name],
+                expected_measurement=server.measurement(b""),
+                authority_public=authority.public_key(),
+                timeout=idle_timeout + 3.0,
+            )
+
+        return App(name, gateway_factory=factory)
+
+    call = SecureRef(0, 2).apply(1).apply(2)
+    idle, other = client("idle"), client("other")
+    try:
+        assert idle.gateway(call) == 3
+        assert other.gateway(call) == 3  # queued behind the idle session until it times out
+        other.close()
+        with pytest.raises((TransportError, OSError)):
+            idle.gateway(call)  # its session died with the timeout
+        assert idle.gateway(call) == 3
+        assert idle.gateway(call) == 3
+        assert opened == ["idle", "other", "idle"]
+    finally:
+        idle.close()
+        other.close()
+        monitor.stop()
         t.join()

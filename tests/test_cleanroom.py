@@ -280,7 +280,6 @@ def test_end_to_end_five_rows(tmp_path):
             role,
             build_cleanroom_program(role_cfg()),
             gateway_factory=lambda: DirectChannel(enclave.dispatch),
-            serve=False,
         )
 
     assert len(captured) == 1

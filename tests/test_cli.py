@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -258,6 +259,19 @@ def test_password_checker_unattested_over_the_wire(tmp_path):
         proc.stdout.close()
 
 
+def test_enclave_exits_cleanly_on_sigint(tmp_path):
+    config = tmp_path / "plain.json"
+    config.write_text(json.dumps({"app": "password-checker"}))
+    proc, _, _ = spawn_enclave(config, "--no-attestation", "--no-client-sig")
+    try:
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
 def test_client_exit_code_on_dead_enclave(tmp_path):
     config = write_password_setup(tmp_path)
     # port 1 is never listening
@@ -335,6 +349,22 @@ def test_bench_csv_shape(capsys):
         assert float(cells[1]) > 0 and float(cells[2]) >= 0
         assert cells[3] == "3"
     assert labels == [label for label, *_ in BENCH_CONFIGS]
+
+
+def test_bench_signs_only_where_the_enclave_verifies(monkeypatch, capsys):
+    import enclaveflow.cli as cli
+
+    seen = set()
+    real = cli.connect_channel
+
+    def spy(host, port, **kw):
+        seen.add((kw["attested"], kw["signing_key"] is not None))
+        return real(host, port, **kw)
+
+    monkeypatch.setattr(cli, "connect_channel", spy)
+    assert main(["bench", "--iterations", "1"]) == 0
+    # plain rows, attested rows without client signatures, the signed row
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_bench_rejects_bad_iterations(capsys):
