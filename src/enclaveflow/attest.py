@@ -255,6 +255,16 @@ def _report_data(eph_pub: bytes, nonce: bytes) -> bytes:
     return hashlib.sha256(eph_pub + nonce).digest()
 
 
+def _exchange(priv: X25519PrivateKey, peer_pub: bytes) -> bytes | None:
+    """The X25519 shared secret, or None for a peer share that yields the
+    all-zero secret (a low-order point), which RFC 7748 §6.1 says to
+    refuse and ``cryptography`` refuses with ValueError."""
+    try:
+        return priv.exchange(X25519PublicKey.from_public_bytes(peer_pub))
+    except ValueError:
+        return None
+
+
 def handshake_client(
     sock: socket.socket,
     *,
@@ -295,7 +305,9 @@ def handshake_client(
     if report_data != _report_data(enclave_pub, nonce):
         raise AttestationFailure("stale-binding", "quote not bound to our nonce")
 
-    shared = eph_priv.exchange(X25519PublicKey.from_public_bytes(enclave_pub))
+    shared = _exchange(eph_priv, enclave_pub)
+    if shared is None:
+        raise AttestationFailure("bad-key-share", "enclave key share refused")
     transcript = hashlib.sha256(hello + reply).digest()
     client_session, _, fin_key = _derive_sessions(shared, transcript)
     mac = hmac.new(fin_key, transcript, hashlib.sha256).digest()
@@ -314,8 +326,9 @@ def handshake_server(
     """Enclave side: authenticate the hello against provisioned
     credentials, quote our measurement bound to the client's nonce, and
     confirm the derived keys.  Raises AuthFailure (after sending a code-4
-    refusal) for unknown or mis-signed clients.  All of it must finish
-    within ``HANDSHAKE_DEADLINE_S``, or the read that would overrun raises
+    refusal) for unknown or mis-signed clients and for a key share that
+    cannot be agreed with.  All of it must finish within
+    ``HANDSHAKE_DEADLINE_S``, or the read that would overrun raises
     TransportError or ``socket.timeout``; the socket's own timeout is put
     back once the handshake succeeds."""
     deadline = time.monotonic() + HANDSHAKE_DEADLINE_S
@@ -344,13 +357,17 @@ def handshake_server(
             raise AuthFailure(f"client {name!r} failed authentication")
 
     eph_priv = X25519PrivateKey.generate()
+    # agree before quoting: a share we refuse gets a refusal, not a quote
+    shared = _exchange(eph_priv, client_eph)
+    if shared is None:
+        send_frame(sock, encode_result_err(ErrorCode.AUTH_FAILURE, "client key share refused"))
+        raise AuthFailure("client key share refused")
     eph_pub = eph_priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
     report_data = _report_data(eph_pub, nonce)
     quote_sig = authority_private.sign(measurement + report_data)
     attest = _attest_body(eph_pub, measurement, report_data, quote_sig)
     send_frame(sock, attest)
 
-    shared = eph_priv.exchange(X25519PublicKey.from_public_bytes(client_eph))
     transcript = hashlib.sha256(hello + attest).digest()
     _, server_session, fin_key = _derive_sessions(shared, transcript)
 
@@ -487,8 +504,8 @@ class Monitor:
                     continue
                 try:
                     self.serve_connection(conn)
-                except (TransportError, CryptoError, DecodeError, AuthFailure, OSError):
-                    pass  # that connection is done; keep accepting
+                except Exception:  # noqa: BLE001 - one peer must not stop the loop
+                    pass  # that connection is done, whatever ended it; keep accepting
                 finally:
                     conn.close()
         finally:

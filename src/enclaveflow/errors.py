@@ -62,7 +62,7 @@ class AttestationFailure(EnclaveFlowError):
     """Enclave attestation evidence was rejected by the client.
 
     ``reason`` is one of ``"bad-signature"``, ``"measurement-mismatch"``,
-    ``"stale-binding"``.
+    ``"stale-binding"``, ``"bad-key-share"``.
     """
 
     def __init__(self, reason: str, detail: str = "") -> None:

@@ -23,7 +23,7 @@ from .labels import (
     downgrade,
     join,
 )
-from .wire import Value, encode_value
+from .wire import I64_MAX, I64_MIN, Value, encode_value
 
 __all__ = ["IfcContext", "LabeledRef", "make_labeled"]
 
@@ -31,13 +31,18 @@ __all__ = ["IfcContext", "LabeledRef", "make_labeled"]
 def _copy_value(v: Value) -> Value:
     """A copy of ``v`` that shares no list with it.  Leaves are immutable
     and pass through.  The codec decides what else is a value: an int out
-    of i64 range or a non-value raises what ``encode_value`` raises, so a
-    cell only ever holds a wire value.  Every ``LabeledValue`` and
-    ``LabeledRef`` is filled and emptied through here, so neither shares a
-    list with anyone, and a ``LabeledValue`` inside a value is a leaf."""
+    of i64 range raises ``OverflowError``, as ``encode_value`` does, and a
+    non-value raises what ``encode_value`` raises, so a cell only ever
+    holds a wire value.  Every ``LabeledValue`` and ``LabeledRef`` is
+    filled and emptied through here, so neither shares a list with anyone,
+    and a ``LabeledValue`` inside a value is a leaf."""
     if isinstance(v, list):
         return [_copy_value(item) for item in v]
     if v is None or isinstance(v, (bool, float, str, bytes, LabeledValue)):
+        return v
+    if isinstance(v, int):
+        if not I64_MIN <= v <= I64_MAX:
+            raise OverflowError("integer out of i64 range")
         return v
     encode_value(v)
     return v

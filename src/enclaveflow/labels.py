@@ -8,10 +8,18 @@ secrecy formula with an integrity formula.  Labels are ordered by
 All operations return canonical CNFs: an antichain of clauses (no clause
 contains another), with ``True`` the empty clause set and ``False`` the
 singleton set holding the empty clause.  Everything here is an immutable
-value, safe to share across threads, so ``join`` and ``downgrade`` are
-memoized on their arguments in bounded caches of ``LABEL_CACHE_SIZE``
-entries each.  (``can_flow_to`` is not: hashing its two labels costs
-about what its two implication checks do.)
+value, safe to share across threads, so ``join``, ``downgrade`` and
+``encode_label`` are memoized on their arguments in bounded caches of
+``LABEL_CACHE_SIZE`` entries each.  (``can_flow_to`` is not: hashing its
+two labels costs about what its two implication checks do.)
+
+Labels are hash-consed where they cross the wire: ``read_label`` maps the
+exact bytes of an encoding of at most ``LABEL_INTERN_MAX`` bytes, through
+one more cache of ``LABEL_CACHE_SIZE`` entries, to a single ``DCLabel``.
+Every value decoded with one label then shares one label object, and the
+lattice caches above find it by identity.  Only successful parses are
+cached, so malformed bytes are parsed and refused on every call; longer
+encodings are parsed afresh each time, so a peer cannot pin large labels.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ __all__ = [
     "Privilege",
     "LabeledValue",
     "LABEL_CACHE_SIZE",
+    "LABEL_INTERN_MAX",
     "CNF_TRUE",
     "CNF_FALSE",
     "DC_PUBLIC",
@@ -212,9 +221,11 @@ class Privilege:
 
 EMPTY_PRIVILEGE = Privilege(CNF_TRUE)
 
-# Entries per memoized lattice operation.  A fixed count, so a peer that
+# Entries per memoized label operation.  A fixed count, so a peer that
 # sends ever new labels evicts old entries instead of growing the cache.
 LABEL_CACHE_SIZE = 1024
+# Longest label encoding, in bytes, that ``read_label`` interns.
+LABEL_INTERN_MAX = 256
 
 
 def can_flow_to(l1: DCLabel, l2: DCLabel) -> bool:
@@ -349,14 +360,55 @@ def decode_cnf(b: bytes) -> CNF:
     return value
 
 
+@functools.lru_cache(maxsize=LABEL_CACHE_SIZE)
 def encode_label(l: DCLabel) -> bytes:
     return encode_cnf(l.secrecy) + encode_cnf(l.integrity)
 
 
-def read_label(buf: bytes, pos: int) -> tuple[DCLabel, int]:
+def _parse_label(buf: bytes, pos: int) -> tuple[DCLabel, int]:
+    """The strict parse: both CNFs, canonical form enforced."""
     secrecy, pos = read_cnf(buf, pos)
     integrity, pos = read_cnf(buf, pos)
     return DCLabel(secrecy, integrity), pos
+
+
+@functools.lru_cache(maxsize=LABEL_CACHE_SIZE)
+def _intern_label(raw: bytes) -> DCLabel:
+    return _parse_label(raw, 0)[0]
+
+
+def _short_label_end(buf: bytes, pos: int) -> int | None:
+    """Where the label at ``pos`` ends, found from its u16 length fields
+    alone, or None unless it ends within ``LABEL_INTERN_MAX`` bytes and
+    within ``buf``.  Builds nothing and checks nothing else."""
+    limit = min(len(buf), pos + LABEL_INTERN_MAX)
+    for _ in range(2):  # secrecy, then integrity
+        if pos + 2 > limit:
+            return None
+        clauses = buf[pos] << 8 | buf[pos + 1]
+        pos += 2
+        for _ in range(clauses):
+            if pos + 2 > limit:
+                return None
+            names = buf[pos] << 8 | buf[pos + 1]
+            pos += 2
+            for _ in range(names):
+                if pos + 2 > limit:
+                    return None
+                pos += 2 + (buf[pos] << 8 | buf[pos + 1])
+    return pos if pos <= limit else None
+
+
+def read_label(buf: bytes, pos: int) -> tuple[DCLabel, int]:
+    """Parse one label starting at ``pos``; returns the value and the next
+    offset.  A short encoding is interned: equal bytes give the one
+    ``DCLabel`` the strict parse built for them.  Anything else, including
+    every truncated encoding, goes to the strict parse, so errors are the
+    same either way."""
+    end = _short_label_end(buf, pos)
+    if end is None:
+        return _parse_label(buf, pos)
+    return _intern_label(buf[pos:end]), end
 
 
 def decode_label(b: bytes) -> DCLabel:

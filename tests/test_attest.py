@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
 import socket
 import struct
@@ -12,6 +14,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from hypothesis import given, settings, strategies as st
 
 from enclaveflow.attest import (
     MAX_FRAME,
@@ -47,6 +50,7 @@ from enclaveflow.wire import (
     decode_message,
     encode_call,
     encode_result_ok,
+    encode_value,
 )
 
 AUTHORITY = gen_signing_key()
@@ -538,6 +542,176 @@ def test_monitor_never_dispatches_unauthenticated():
     finally:
         mon.stop()
         t.join()
+
+
+# X25519 shares that yield the all-zero secret: u = 0 and u = 1 have low order
+LOW_ORDER_SHARES = [bytes(32), b"\x01" + bytes(31)]
+
+
+def signed_hello(share: bytes, key=ALICE_KEY) -> bytes:
+    """Alice's hello as a client builds it, signed over whatever share it chose."""
+    nonce = os.urandom(32)
+    sig = key.sign(nonce + share + b"Alice") if key is not None else bytes(64)
+    return b"\x10" + nonce + encode_value("Alice") + share + sig
+
+
+def assert_still_serving(mon) -> None:
+    ch = client_channel(mon, timeout=5.0)
+    ch.send_message(encode_call(3, []))
+    assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(3))
+    ch.close()
+
+
+@pytest.mark.parametrize("share", LOW_ORDER_SHARES, ids=["zero", "one"])
+@pytest.mark.parametrize("verify_client", [False, True], ids=["unsigned", "signed"])
+def test_low_order_share_is_refused_and_the_monitor_serves_on(share, verify_client):
+    # RFC 7748 §6.1: such a share makes the shared secret all zeros.  The
+    # enclave refuses it before quoting, even from a provisioned client
+    # that signed it, and the next client is served.
+    mon, t = start_monitor(verify_client=verify_client)
+    try:
+        raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
+        send_frame(raw, signed_hello(share, key=ALICE_KEY if verify_client else None))
+        assert decode_message(recv_frame(raw)) == ResultErr(
+            ErrorCode.AUTH_FAILURE, "client key share refused"
+        )
+        raw.close()
+        assert_still_serving(mon)
+    finally:
+        mon.stop()
+        t.join(5)
+    assert not t.is_alive()
+
+
+def test_handshake_client_refuses_a_low_order_enclave_share():
+    # a quote that verifies, is bound to our nonce, and carries a zero share
+    c, s = spair()
+
+    def fake_enclave():
+        hello = recv_frame(s)
+        nonce, share = hello[1:33], bytes(32)
+        report_data = hashlib.sha256(share + nonce).digest()
+        quote = AUTHORITY.sign(MEASUREMENT + report_data)
+        send_frame(s, b"\x11" + share + MEASUREMENT + report_data + quote)
+
+    t = threading.Thread(target=fake_enclave)
+    t.start()
+    with pytest.raises(AttestationFailure) as exc:
+        handshake_client(
+            c,
+            client_name="Alice",
+            signing_key=ALICE_KEY,
+            expected_measurement=MEASUREMENT,
+            authority_public=AUTHORITY_PUB,
+        )
+    assert exc.value.reason == "bad-key-share"
+    t.join(5)
+    c.close()
+    s.close()
+
+
+def test_monitor_serves_on_after_any_exception_but_stops_on_interrupt():
+    def dispatch(request: bytes) -> bytes:
+        call_id = decode_message(request).call_id
+        if call_id == 1:
+            raise RuntimeError("unexpected")
+        if call_id == 2:
+            raise KeyboardInterrupt
+        return encode_result_ok(call_id)
+
+    mon = Monitor(
+        "127.0.0.1", 0, dispatch, measurement=MEASUREMENT, authority_private=None, attested=False
+    )
+    outcomes: list = []
+
+    def client():
+        for call_id in (1, 3, 2):
+            ch = connect_channel("127.0.0.1", mon.port, attested=False, timeout=5)
+            try:
+                ch.send_message(encode_call(call_id, []))
+                outcomes.append(decode_message(ch.recv_message()))
+            except (TransportError, OSError) as e:
+                outcomes.append(type(e))
+            finally:
+                ch.close()
+
+    t = threading.Thread(target=client)
+    t.start()
+    with pytest.raises(KeyboardInterrupt):
+        mon.serve_forever()  # on this thread, as under `enclaveflow enclave`
+    t.join(5)
+    assert not t.is_alive()
+    assert outcomes[0] is TransportError  # its connection ended
+    assert outcomes[1] == decode_message(encode_result_ok(3))  # the next was served
+
+
+_hello_share = st.sampled_from(LOW_ORDER_SHARES) | st.binary(min_size=32, max_size=32)
+_hello_edit = st.one_of(
+    st.none(),
+    st.tuples(st.just("cut"), st.integers(0, 150)),
+    st.tuples(st.just("set"), st.integers(0, 150), st.integers(0, 255)),
+)
+
+
+def test_no_hostile_hello_stops_the_monitor(monkeypatch):
+    # Each example plays one raw peer: a hello signed by a provisioned key
+    # over an arbitrary or low-order share, then possibly cut short or with
+    # one byte overwritten, then possibly a garbage finish.  After each, a
+    # good client must be served.
+    monkeypatch.setattr("enclaveflow.attest.HANDSHAKE_DEADLINE_S", 0.5)
+    mon, t = start_monitor()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(share=_hello_share, edit=_hello_edit, finish=st.binary(max_size=40) | st.none())
+    def one_peer(share, edit, finish):
+        hello = signed_hello(share)
+        if edit is not None and edit[0] == "cut":
+            hello = hello[: edit[1]]
+        elif edit is not None:
+            at = edit[1] % len(hello)
+            hello = hello[:at] + bytes([edit[2]]) + hello[at + 1 :]
+        raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
+        try:
+            send_frame(raw, hello)
+            recv_frame(raw)  # a refusal or a quote: the monitor answers either way
+            if finish is not None:
+                send_frame(raw, b"\x12" + finish)
+        except (TransportError, OSError):
+            pass
+        finally:
+            raw.close()
+        assert_still_serving(mon)
+
+    try:
+        one_peer()
+    finally:
+        mon.stop()
+        t.join(5)
+    assert not t.is_alive()
+
+
+def test_no_garbage_record_after_a_good_handshake_stops_the_monitor():
+    mon, t = start_monitor()
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(st.lists(st.binary(max_size=40), min_size=1, max_size=3))
+    def one_peer(records):
+        ch = client_channel(mon, timeout=5.0)
+        try:
+            for record in records:
+                send_frame(ch.sock, record)
+        except OSError:
+            pass  # the enclave already hung up on an earlier record
+        finally:
+            ch.close()
+        assert_still_serving(mon)
+
+    try:
+        one_peer()
+    finally:
+        mon.stop()
+        t.join(5)
+    assert not t.is_alive()
 
 
 def test_monitor_plain_mode():

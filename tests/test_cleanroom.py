@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import random
+import tracemalloc
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -42,6 +44,7 @@ from enclaveflow.labels import (
     read_label,
 )
 from enclaveflow.wire import (
+    MSG_RESULT_OK,
     ResultErr,
     ResultOk,
     decode_message,
@@ -338,6 +341,30 @@ def test_upload_reads_only_its_own_label(monkeypatch):
         assert send_row(enclave, ("P1", "P2")[i % 2], "alpha", i % 150) == ResultOk(None)
         per_upload.append(calls - before)
     assert per_upload[0] == per_upload[-1] == 1
+
+
+def test_stored_rows_share_their_labels_in_memory():
+    # 2x5000 uploads, measured where the enclave keeps them.  Each row holds
+    # its own list and strain; the label is one object per provider.  A
+    # label graph per row (DCLabel, CNFs, clauses, principals, frozensets)
+    # read ~1.8 KB per row.
+    enclave = cleanroom_enclave(X25519PrivateKey.generate().public_key())
+    requests = [
+        encode_call(0, [make_labeled(provider_label(owner), [f"strain{i % 20}", i % 150])])
+        for owner in ("P1", "P2")
+        for i in range(5000)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for request in requests:
+            assert enclave.dispatch(request)[0] == MSG_RESULT_OK
+        gc.collect()
+        per_row = (tracemalloc.get_traced_memory()[0] - before) / len(requests)
+    finally:
+        tracemalloc.stop()
+    assert per_row < 512
 
 
 def test_end_to_end_large_against_oracle():

@@ -20,6 +20,7 @@ from enclaveflow.labels import (
     cnf,
     cnf_from_principal,
 )
+from enclaveflow.wire import I64_MAX, I64_MIN, encode_value
 from label_oracle import enumerate_canonical_cnfs
 
 ALICE = DCLabel(cnf_from_principal("Alice"), CNF_TRUE)
@@ -234,6 +235,26 @@ def test_refs_refuse_what_the_codec_refuses():
             with pytest.raises(OverflowError):
                 write(bad)
     assert r.cell == []
+
+
+def test_copies_range_check_ints_without_the_encoder(monkeypatch):
+    # the i64 bounds are checked in place; the encoder is left for the rest
+    seen = []
+
+    def counting_encode(v):
+        seen.append(v)
+        return encode_value(v)
+
+    monkeypatch.setattr("enclaveflow.ifc.encode_value", counting_encode)
+    v = [0, -1, I64_MAX, I64_MIN, [7, True, 1.5]]
+    assert make_labeled(DC_PUBLIC, v).value == v
+    for bad in (I64_MAX + 1, I64_MIN - 1):
+        with pytest.raises(OverflowError, match="i64"):
+            make_labeled(DC_PUBLIC, [bad])
+    assert seen == []
+    with pytest.raises(TypeError):
+        make_labeled(DC_PUBLIC, (1, 2))
+    assert seen == [(1, 2)]
 
 
 def test_new_ref_no_write_down():

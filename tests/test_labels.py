@@ -6,8 +6,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from enclaveflow import labels
 from enclaveflow.errors import LabelError
 from enclaveflow.ifc import IfcContext, make_labeled
 from enclaveflow.labels import (
@@ -21,6 +22,7 @@ from enclaveflow.labels import (
     DCLabel,
     EMPTY_PRIVILEGE,
     LABEL_CACHE_SIZE,
+    LABEL_INTERN_MAX,
     Principal,
     Privilege,
     can_flow_to,
@@ -38,6 +40,8 @@ from enclaveflow.labels import (
     encode_label,
     join,
     meet,
+    read_cnf,
+    read_label,
 )
 from label_oracle import (
     enumerate_canonical_cnfs,
@@ -465,3 +469,100 @@ def test_principal_validation():
         Principal("")
     with pytest.raises(LabelError):
         Principal("a\x00b")
+
+
+# --- interning at the codec ----------------------------------------------------
+
+label_st = st.builds(DCLabel, cnf_st, cnf_st)
+
+
+def uncached_read(buf: bytes) -> tuple[DCLabel, int]:
+    """The strict parse with no cache in front of it."""
+    secrecy, pos = read_cnf(buf, 0)
+    integrity, pos = read_cnf(buf, pos)
+    return DCLabel(secrecy, integrity), pos
+
+
+def uncached_parse(b: bytes) -> DCLabel:
+    value, pos = uncached_read(b)
+    assert pos == len(b)
+    return value
+
+
+def named_label(name: str) -> DCLabel:
+    return DCLabel(cnf_from_principal(name), CNF_TRUE)  # encodes in 8 + len(name) bytes
+
+
+def test_equal_bytes_decode_to_one_label_object():
+    raw = encode_label(DCLabel(cnf({"Alice", "Bob"}), cnf({"Carol"})))
+    first = decode_label(bytes(raw))
+    again, end = read_label(b"xy" + raw + b"zz", 2)  # other bytes, other offset
+    assert again is first and end == 2 + len(raw)
+    assert first == uncached_parse(raw)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(label_st)
+def test_interned_decode_and_memoized_encode_match_the_uncached_codec(lab):
+    raw = encode_label.__wrapped__(lab)
+    assert encode_label(lab) == raw  # byte for byte, cold or warm
+    assert encode_label(lab) == raw
+    assert decode_label(raw) == uncached_parse(raw) == lab
+    assert encode_label(decode_label(raw)) == raw
+
+
+def _outcome(read, buf: bytes):
+    try:
+        return read(buf)
+    except LabelError as e:
+        return str(e)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(label_st.map(encode_label), st.integers(0, 255), st.integers(0, 255), st.integers(0, 8))
+def test_damaged_bytes_read_as_the_uncached_parse_reads_them(raw, at, byte, cut):
+    # same label and end, or the same error, for bytes overwritten or cut short
+    damaged = raw[: at % len(raw)] + bytes([byte]) + raw[at % len(raw) + 1 :]
+    for buf in (damaged, damaged[: max(0, len(damaged) - cut)], raw + bytes([byte])):
+        assert _outcome(lambda b: read_label(b, 0), buf) == _outcome(uncached_read, buf)
+
+
+def test_intern_cache_stays_bounded_under_distinct_labels():
+    labels._intern_label.cache_clear()
+    encode_label.cache_clear()
+    for i in range(LABEL_CACHE_SIZE + 100):
+        lab = named_label(f"P{i}")
+        assert decode_label(encode_label(lab)) == lab
+    assert labels._intern_label.cache_info().currsize == LABEL_CACHE_SIZE
+    assert encode_label.cache_info().currsize == LABEL_CACHE_SIZE
+
+
+def test_only_labels_within_the_bound_are_interned():
+    at_bound = encode_label(named_label("x" * (LABEL_INTERN_MAX - 8)))
+    over = encode_label(named_label("y" * (LABEL_INTERN_MAX - 7)))
+    assert (len(at_bound), len(over)) == (LABEL_INTERN_MAX, LABEL_INTERN_MAX + 1)
+    assert decode_label(at_bound) is decode_label(at_bound)
+    before = labels._intern_label.cache_info()
+    first, second = decode_label(over), decode_label(over)
+    assert first == second == uncached_parse(over) and first is not second
+    assert labels._intern_label.cache_info() == before  # neither looked up nor stored
+
+
+def test_malformed_bytes_are_refused_on_every_call():
+    # the canonical twin is cached first: a refusal must not depend on it
+    canonical = encode_label(DCLabel(cnf({"Alice", "Bob"}), CNF_TRUE))
+    assert canonical == b"\x00\x01\x00\x02\x00\x05Alice\x00\x03Bob\x00\x00"
+    decode_label(canonical)
+    swapped = b"\x00\x01\x00\x02\x00\x03Bob\x00\x05Alice\x00\x00"
+    before = labels._intern_label.cache_info().currsize
+    for bad in (swapped, canonical[:-1], canonical[:3]):
+        for _ in range(3):
+            with pytest.raises(LabelError):
+                decode_label(bad)
+    assert labels._intern_label.cache_info().currsize == before
+
+
+def test_a_huge_clause_count_with_no_clauses_fails_at_once():
+    for buf in (b"\xff\xff", b"\xff\xff\x00\x01", encode_label(DC_PUBLIC)[:2] + b"\xff\xff"):
+        with pytest.raises(LabelError, match="truncated"):
+            read_label(buf, 0)

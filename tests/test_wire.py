@@ -9,8 +9,9 @@ import struct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from enclaveflow.app import ENCLAVE_ROLE, App
 from enclaveflow.errors import DecodeError, ErrorCode
-from enclaveflow.ifc import make_labeled
+from enclaveflow.ifc import IfcContext, make_labeled
 from enclaveflow.labels import (
     CNF,
     CNF_FALSE,
@@ -18,6 +19,8 @@ from enclaveflow.labels import (
     DC_PUBLIC,
     Clause,
     DCLabel,
+    EMPTY_PRIVILEGE,
+    LabeledValue,
     Principal,
     cnf_from_principal,
     cnf_reduce,
@@ -235,6 +238,23 @@ def test_bad_label_in_labeled_value_rejected():
     # duplicate clause in the secrecy CNF
     with pytest.raises(DecodeError):
         decode_value(b"\x07" + b"\x00\x02" + bob + bob + b"\x00\x00" + b"\x01")
+
+
+def test_uploads_with_one_label_store_one_label_object():
+    # through the codec, App.dispatch and append_ref, as the clean room stores rows
+    app = App(ENCLAVE_ROLE)
+    db = app.labeled_ref(DC_PUBLIC, [])
+    app.enclave_fn(
+        IfcContext(EMPTY_PRIVILEGE), lambda ctx, lv: ctx.append_ref(db, lv), (LabeledValue,)
+    )
+    app.freeze()
+    for row in (["alpha", 30], ["beta", 40]):
+        label = DCLabel(cnf_from_principal("P1"), cnf_from_principal("P1"))  # a new object each time
+        reply = app.dispatch(encode_call(0, [make_labeled(label, row)]))
+        assert decode_message(reply) == ResultOk(None)
+    first, second = db.cell
+    assert first.label is second.label
+    assert first.label == label and (first.value, second.value) == (["alpha", 30], ["beta", 40])
 
 
 def test_deep_nesting_rejected_cleanly():
