@@ -12,7 +12,7 @@ attestation monitor; clients reach it through gateway calls on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .attest import compute_measurement
@@ -76,7 +76,7 @@ class SecureRef:
             raise UsageError(
                 f"function takes {self.arity} argument(s); all already applied"
             )
-        return replace(self, args=self.args + (encode_value(v),))
+        return SecureRef(self.call_id, self.arity, self.args + (encode_value(v),))
 
 
 class EnclaveStub:

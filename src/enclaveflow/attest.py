@@ -99,14 +99,21 @@ HANDSHAKE_DEADLINE_S = 5.0
 IDLE_TIMEOUT_S = 30.0
 
 _U32 = struct.Struct(">I")
+# a channel's read size: a warm call's whole frame, header and body, in one recv
+_RECV_CHUNK = 4096
 _ZERO_SIG = bytes(64)
 
 
 # --- framing -----------------------------------------------------------------
 
 
-def _recv_exact(sock: socket.socket, n: int, deadline: float | None = None) -> bytes:
-    buf = bytearray()
+def _recv_exact(
+    sock: socket.socket, n: int, deadline: float | None = None, start: bytes = b""
+) -> bytes:
+    """``start`` and then what the socket sends, up to ``n`` bytes in all.
+    Reads never ask for more than is missing, so nothing past the n-th
+    byte leaves the socket."""
+    buf = bytearray(start)
     while len(buf) < n:
         if deadline is not None:
             left = deadline - time.monotonic()
@@ -166,8 +173,9 @@ def _hkdf(shared: bytes, transcript: bytes, label: bytes, length: int = 32) -> b
     ).derive(shared)
 
 
-def _aead_nonce(seq: int) -> bytes:
-    return bytes(4) + struct.pack(">Q", seq)
+# a record's nonce: 4 zero bytes, then its big-endian sequence number
+_NONCE = struct.Struct(">4xQ")
+_RECORD_TAG = bytes([MSG_RECORD])
 
 
 @dataclass
@@ -188,34 +196,32 @@ class Session:
         self._recv_aead = ChaCha20Poly1305(self.recv_key)
 
     def seal(self, plaintext: bytes) -> bytes:
-        ct = self._send_aead.encrypt(_aead_nonce(self.send_seq), plaintext, None)
+        ct = self._send_aead.encrypt(_NONCE.pack(self.send_seq), plaintext, None)
         self.send_seq += 1
-        return bytes([MSG_RECORD]) + ct
+        return _RECORD_TAG + ct
 
     def open(self, record: bytes) -> bytes:
         if not record or record[0] != MSG_RECORD:
             raise TransportError("expected a sealed record")
         try:
-            pt = self._recv_aead.decrypt(_aead_nonce(self.recv_seq), record[1:], None)
+            pt = self._recv_aead.decrypt(_NONCE.pack(self.recv_seq), record[1:], None)
         except InvalidTag as e:
             raise CryptoError("record failed authentication") from e
         self.recv_seq += 1
         return pt
 
 
-def _derive_sessions(
-    shared: bytes, transcript: bytes
-) -> tuple[Session, Session, bytes]:
-    """Returns (client_session, server_session, finish_mac_key)."""
+def _derive_session(
+    shared: bytes, transcript: bytes, *, client: bool
+) -> tuple[Session, bytes]:
+    """Returns (the caller's session, finish_mac_key).  The client sends
+    under the c2s key and the server under the s2c key."""
     c2s = _hkdf(shared, transcript, b"c2s")
     s2c = _hkdf(shared, transcript, b"s2c")
     fin = _hkdf(shared, transcript, b"fin")
     sid = _hkdf(shared, transcript, b"sid", length=16)
-    return (
-        Session(session_id=sid, send_key=c2s, recv_key=s2c),
-        Session(session_id=sid, send_key=s2c, recv_key=c2s),
-        fin,
-    )
+    send_key, recv_key = (c2s, s2c) if client else (s2c, c2s)
+    return Session(session_id=sid, send_key=send_key, recv_key=recv_key), fin
 
 
 # --- handshake --------------------------------------------------------------------
@@ -309,7 +315,7 @@ def handshake_client(
     if shared is None:
         raise AttestationFailure("bad-key-share", "enclave key share refused")
     transcript = hashlib.sha256(hello + reply).digest()
-    client_session, _, fin_key = _derive_sessions(shared, transcript)
+    client_session, fin_key = _derive_session(shared, transcript, client=True)
     mac = hmac.new(fin_key, transcript, hashlib.sha256).digest()
     send_frame(sock, bytes([MSG_CLIENT_FINISH]) + mac)
     return client_session
@@ -369,7 +375,7 @@ def handshake_server(
     send_frame(sock, attest)
 
     transcript = hashlib.sha256(hello + attest).digest()
-    _, server_session, fin_key = _derive_sessions(shared, transcript)
+    server_session, fin_key = _derive_session(shared, transcript, client=False)
 
     finish = recv_frame(sock, deadline)
     if (
@@ -390,37 +396,59 @@ def handshake_server(
 # --- channels: one interface whether sealed or plain --------------------------------
 
 
-class PlainChannel:
-    """Framing only — the attestation-off mode for benchmarking."""
+class _FramedChannel:
+    """A socket and its receive buffer.  One ``recv`` of up to
+    ``_RECV_CHUNK`` bytes normally holds a whole frame; bytes past it wait
+    in the buffer for the next message.  The rest of a longer body is read
+    to its exact length."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
+        self._pending = b""
 
-    def send_message(self, body: bytes) -> None:
-        send_frame(self.sock, body)
-
-    def recv_message(self) -> bytes:
-        return recv_frame(self.sock)
+    def _recv_frame(self) -> bytes:
+        data = self._pending
+        while len(data) < 4:
+            chunk = self.sock.recv(_RECV_CHUNK)
+            if not chunk:
+                raise TransportError("connection closed mid-frame")
+            data += chunk
+        (length,) = _U32.unpack_from(data)
+        if length > MAX_FRAME:
+            raise TransportError("oversized frame")
+        end = 4 + length
+        if len(data) >= end:
+            self._pending = data[end:]
+            return data[4:end]
+        self._pending = b""
+        return _recv_exact(self.sock, length, start=data[4:])
 
     def close(self) -> None:
         self.sock.close()
 
 
-class SealedChannel:
+class PlainChannel(_FramedChannel):
+    """Framing only — the attestation-off mode for benchmarking."""
+
+    def send_message(self, body: bytes) -> None:
+        send_frame(self.sock, body)
+
+    def recv_message(self) -> bytes:
+        return self._recv_frame()
+
+
+class SealedChannel(_FramedChannel):
     """Frames carrying AEAD records under an established session."""
 
     def __init__(self, sock: socket.socket, session: Session):
-        self.sock = sock
+        super().__init__(sock)
         self.session = session
 
     def send_message(self, body: bytes) -> None:
         send_frame(self.sock, self.session.seal(body))
 
     def recv_message(self) -> bytes:
-        return self.session.open(recv_frame(self.sock))
-
-    def close(self) -> None:
-        self.sock.close()
+        return self.session.open(self._recv_frame())
 
 
 def connect_channel(

@@ -8,10 +8,12 @@ secrecy formula with an integrity formula.  Labels are ordered by
 All operations return canonical CNFs: an antichain of clauses (no clause
 contains another), with ``True`` the empty clause set and ``False`` the
 singleton set holding the empty clause.  Everything here is an immutable
-value, safe to share across threads, so ``join``, ``downgrade`` and
-``encode_label`` are memoized on their arguments in bounded caches of
-``LABEL_CACHE_SIZE`` entries each.  (``can_flow_to`` is not: hashing its
-two labels costs about what its two implication checks do.)
+value, safe to share across threads, so ``can_flow_to``, ``join``,
+``downgrade`` and ``encode_label`` are memoized on their arguments in
+bounded caches of ``LABEL_CACHE_SIZE`` entries each.  ``DCLabel`` and
+``Privilege`` compute their hash once, when built, so a cache lookup costs
+a hash read per argument rather than a walk over nested dataclasses, and
+a warm ``can_flow_to`` runs no implication check at all.
 
 Labels are hash-consed where they cross the wire: ``read_label`` maps the
 exact bytes of an encoding of at most ``LABEL_INTERN_MAX`` bytes, through
@@ -20,6 +22,9 @@ Every value decoded with one label then shares one label object, and the
 lattice caches above find it by identity.  Only successful parses are
 cached, so malformed bytes are parsed and refused on every call; longer
 encodings are parsed afresh each time, so a peer cannot pin large labels.
+``read_cnf`` refuses a CNF of more than ``LABEL_MAX_CLAUSES`` clauses
+before it builds any, so its canonical check, which compares every pair
+of clauses, stays cheap however a peer pads a label.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "LabeledValue",
     "LABEL_CACHE_SIZE",
     "LABEL_INTERN_MAX",
+    "LABEL_MAX_CLAUSES",
     "CNF_TRUE",
     "CNF_FALSE",
     "DC_PUBLIC",
@@ -190,10 +196,22 @@ def cnf_implies(a: CNF, b: CNF) -> bool:
 
 @dataclass(frozen=True)
 class DCLabel:
-    """A ⟨secrecy, integrity⟩ pair of canonical CNFs."""
+    """A ⟨secrecy, integrity⟩ pair of canonical CNFs.  Its hash is computed
+    once, at construction: every memoized lattice operation hashes its
+    labels.  String hashes are salted per process, so pickling rebuilds the
+    label from its CNFs instead of carrying the hash along."""
 
     secrecy: CNF
     integrity: CNF
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.secrecy, self.integrity)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return DCLabel, (self.secrecy, self.integrity)
 
     def __repr__(self) -> str:
         return f"<{self.secrecy!r},{self.integrity!r}>"
@@ -207,9 +225,19 @@ DC_TOP = DCLabel(CNF_FALSE, CNF_TRUE)
 @dataclass(frozen=True)
 class Privilege:
     """A CNF whose clauses the holder may speak for.  The empty privilege
-    is True and relaxes nothing."""
+    is True and relaxes nothing.  Its hash is cached and never pickled, as
+    ``DCLabel``'s is."""
 
     description: CNF
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.description))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Privilege, (self.description,)
 
     @classmethod
     def for_principal(cls, name: str) -> "Privilege":
@@ -226,8 +254,13 @@ EMPTY_PRIVILEGE = Privilege(CNF_TRUE)
 LABEL_CACHE_SIZE = 1024
 # Longest label encoding, in bytes, that ``read_label`` interns.
 LABEL_INTERN_MAX = 256
+# Most clauses ``read_cnf`` accepts in one CNF.  Its canonical check
+# compares every clause with every other, so the bound keeps that check
+# within a small multiple of the label's bytes.
+LABEL_MAX_CLAUSES = 16
 
 
+@functools.lru_cache(maxsize=LABEL_CACHE_SIZE)
 def can_flow_to(l1: DCLabel, l2: DCLabel) -> bool:
     """The unprivileged flow relation: secrecy may only grow, integrity
     may only shrink."""
@@ -321,6 +354,12 @@ def read_cnf(buf: bytes, pos: int) -> tuple[CNF, int]:
     offset.  Enforces canonical form: strict orderings and the antichain
     invariant."""
     count, pos = _read_u16(buf, pos)
+    if count > LABEL_MAX_CLAUSES:
+        # every clause takes at least its own u16 count: too few bytes left
+        # for that many is reported as truncated, as a shorter CNF would be
+        if len(buf) - pos < 2 * count:
+            raise LabelError("truncated label encoding")
+        raise LabelError(f"CNF has more than {LABEL_MAX_CLAUSES} clauses")
     clauses: list[Clause] = []
     prev_enc: bytes | None = None
     for _ in range(count):

@@ -28,10 +28,13 @@ from enclaveflow.errors import (
 )
 from enclaveflow.ifc import IfcContext, LabeledRef
 from enclaveflow.labels import (
+    CNF,
     CNF_TRUE,
+    Clause,
     DCLabel,
     EMPTY_PRIVILEGE,
     LabeledValue,
+    Principal,
     Privilege,
     cnf_from_principal,
 )
@@ -616,6 +619,55 @@ def test_password_checker_over_attested_socket():
 
         run_app("client", password_program(results), gateway_factory=factory)
         assert results == {"right": True, "wrong": False}
+    finally:
+        monitor.stop()
+        t.join()
+
+
+def test_a_label_padded_with_clauses_is_refused_at_once_and_the_monitor_serves_on():
+    # a CNF's canonical check compares every pair of clauses: 4000 of them
+    # took seconds to decode, while one frame held the one-at-a-time monitor
+    authority = gen_signing_key()
+    keys = {name: gen_signing_key() for name in ("hostile", "good")}
+    server = staged(
+        ENCLAVE_ROLE, lambda app: app.enclave_fn(PLAIN, lambda ctx, lv: 1, (LabeledValue,))
+    )
+    monitor = Monitor(
+        "127.0.0.1",
+        0,
+        server.dispatch,
+        measurement=server.measurement(b""),
+        authority_private=authority,
+        credentials={name: key.public_key() for name, key in keys.items()},
+    )
+    t = threading.Thread(target=monitor.serve_forever, daemon=True)
+    t.start()
+
+    def connect(name: str):
+        return connect_channel(
+            "127.0.0.1",
+            monitor.port,
+            client_name=name,
+            signing_key=keys[name],
+            expected_measurement=server.measurement(b""),
+            authority_public=authority.public_key(),
+        )
+
+    padded = CNF(frozenset(Clause(frozenset({Principal(f"p{i:04}")})) for i in range(4000)))
+    try:
+        hostile = connect("hostile")
+        request = encode_call(0, [LabeledValue(DCLabel(padded, CNF_TRUE), 1)])
+        start = time.monotonic()
+        hostile.send_message(request)
+        reply = decode_message(hostile.recv_message())
+        elapsed = time.monotonic() - start
+        hostile.close()
+        assert isinstance(reply, ResultErr) and reply.code == ErrorCode.DECODE_ERROR
+        assert elapsed < 0.05
+        good = connect("good")
+        good.send_message(encode_call(0, [LabeledValue(ALICE, 1)]))
+        assert decode_message(good.recv_message()) == ResultOk(1)
+        good.close()
     finally:
         monitor.stop()
         t.join()

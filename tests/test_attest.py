@@ -18,9 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from enclaveflow.attest import (
     MAX_FRAME,
+    MSG_CLIENT_FINISH,
     MSG_RECORD,
     Monitor,
     PlainChannel,
+    SealedChannel,
     compute_measurement,
     connect_channel,
     gen_signing_key,
@@ -307,6 +309,20 @@ def make_sessions():
     return client, slot["session"]
 
 
+def test_each_side_keys_only_its_own_session(monkeypatch):
+    keyed: list[bytes] = []
+
+    def counting(key: bytes) -> ChaCha20Poly1305:
+        keyed.append(key)
+        return ChaCha20Poly1305(key)
+
+    monkeypatch.setattr("enclaveflow.attest.ChaCha20Poly1305", counting)
+    client, server = make_sessions()
+    assert (client.send_key, client.recv_key) == (server.recv_key, server.send_key)
+    assert client.session_id == server.session_id
+    assert sorted(keyed) == sorted([client.send_key, client.recv_key] * 2)
+
+
 def test_seal_open_roundtrip_and_counters():
     client, server = make_sessions()
     for i in range(5):
@@ -387,6 +403,82 @@ def test_eof_mid_frame():
         recv_frame(b)
 
 
+# --- channel record reader ----------------------------------------------------------
+
+
+def frame(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+class FakeSocket:
+    """Hands out ``data`` at most ``step`` bytes per recv, counting recvs."""
+
+    def __init__(self, data: bytes, step: int = 1 << 20):
+        self.data, self.step, self.recvs = data, step, 0
+
+    def recv(self, n: int) -> bytes:
+        self.recvs += 1
+        chunk = self.data[: min(n, self.step)]
+        self.data = self.data[len(chunk) :]
+        return chunk
+
+
+def test_two_frames_in_one_write_are_two_messages():
+    a, b = spair()
+    a.sendall(frame(b"first") + frame(b"") + frame(b"third"))
+    ch = PlainChannel(b)
+    assert [ch.recv_message() for _ in range(3)] == [b"first", b"", b"third"]
+    a.close()
+    with pytest.raises(TransportError):
+        ch.recv_message()
+
+
+def test_a_frame_that_arrives_whole_costs_one_recv():
+    fake = FakeSocket(frame(b"x" * 200) + frame(b"y"))
+    ch = PlainChannel(fake)
+    assert ch.recv_message() == b"x" * 200
+    assert ch.recv_message() == b"y"  # already buffered
+    assert fake.recvs == 1
+
+
+def test_a_frame_sent_one_byte_at_a_time_is_reassembled():
+    body = bytes(range(256)) * 3
+    fake = FakeSocket(frame(body) + frame(b"next"), step=1)
+    ch = PlainChannel(fake)
+    assert ch.recv_message() == body
+    assert ch.recv_message() == b"next"
+    assert fake.recvs == 4 + len(body) + 4 + 4
+
+
+def test_an_oversized_header_is_refused_before_any_body_byte_is_read():
+    fake = FakeSocket(struct.pack(">I", MAX_FRAME + 1) + b"body", step=4)
+    with pytest.raises(TransportError, match="oversized"):
+        PlainChannel(fake).recv_message()
+    assert fake.recvs == 1 and fake.data == b"body"
+
+
+@pytest.mark.parametrize("sent", [b"\x00\x00", frame(b"abcdef")[:7], frame(b"x" * 9000)[:5000]])
+def test_eof_mid_frame_in_a_channel(sent):
+    a, b = spair()
+    a.sendall(sent)
+    a.close()
+    with pytest.raises(TransportError):
+        PlainChannel(b).recv_message()
+
+
+def test_a_megabyte_frame_round_trips_sealed():
+    client, server = make_sessions()
+    a, b = spair()
+    body = os.urandom(1 << 20)
+    sender = threading.Thread(target=SealedChannel(a, client).send_message, args=(body,))
+    sender.start()
+    try:
+        assert SealedChannel(b, server).recv_message() == body
+    finally:
+        sender.join(10)
+    assert not sender.is_alive()
+
+
 # --- the monitor loop ---------------------------------------------------------------
 
 
@@ -434,6 +526,45 @@ def test_monitor_serves_calls_and_sequential_connections():
                     encode_result_ok(call_id)
                 )
             ch.close()
+    finally:
+        mon.stop()
+        t.join()
+
+
+class HoldFinish:
+    """A client socket whose FINISH write is held back, so the test can
+    send it together with the first request."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock, self.held = sock, b""
+
+    def sendall(self, data: bytes) -> None:
+        if data[4] == MSG_CLIENT_FINISH:
+            self.held = data
+        else:
+            self.sock.sendall(data)
+
+    def recv(self, n: int) -> bytes:
+        return self.sock.recv(n)
+
+
+def test_finish_and_first_request_in_one_write_are_both_served():
+    mon, t = start_monitor()
+    try:
+        raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
+        held = HoldFinish(raw)
+        session = handshake_client(
+            held,
+            client_name="Alice",
+            signing_key=ALICE_KEY,
+            expected_measurement=MEASUREMENT,
+            authority_public=AUTHORITY_PUB,
+        )
+        assert held.held
+        raw.sendall(held.held + frame(session.seal(encode_call(5, []))))
+        ch = SealedChannel(raw, session)
+        assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(5))
+        ch.close()
     finally:
         mon.stop()
         t.join()

@@ -25,7 +25,7 @@ from enclaveflow.cli import (
     _probe_measurement,
 )
 from enclaveflow.errors import UsageError
-from enclaveflow.labels import cnf_reduce, downgrade, join
+from enclaveflow.labels import can_flow_to, cnf_implies, cnf_reduce, downgrade, join
 from enclaveflow.wire import ResultOk, decode_message, encode_call
 
 PYTHON = [sys.executable, "-m", "enclaveflow.cli"]
@@ -155,6 +155,30 @@ def test_warm_checkpwd_reduces_no_cnf(monkeypatch):
     monkeypatch.setattr("enclaveflow.labels.cnf_reduce", counting_cnf_reduce)
     join.cache_clear()
     downgrade.cache_clear()
+    enclave = password_enclave()
+    request = encode_call(0, ["password"])
+    per_call = []
+    for _ in range(200):
+        before = calls
+        assert decode_message(enclave.dispatch(request)) == ResultOk(True)
+        per_call.append(calls - before)
+    assert per_call[0] > 0
+    assert per_call[1:] == [0] * 199
+
+
+def test_warm_checkpwd_checks_no_implication(monkeypatch):
+    # Counted, not timed: once the first call has filled the label caches,
+    # every flow check of a call is answered from can_flow_to's cache.
+    calls = 0
+
+    def counting_cnf_implies(a, b):
+        nonlocal calls
+        calls += 1
+        return cnf_implies(a, b)
+
+    monkeypatch.setattr("enclaveflow.labels.cnf_implies", counting_cnf_implies)
+    for fn in (join, downgrade, can_flow_to):
+        fn.cache_clear()
     enclave = password_enclave()
     request = encode_call(0, ["password"])
     per_call = []

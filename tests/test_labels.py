@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +26,7 @@ from enclaveflow.labels import (
     EMPTY_PRIVILEGE,
     LABEL_CACHE_SIZE,
     LABEL_INTERN_MAX,
+    LABEL_MAX_CLAUSES,
     Principal,
     Privilege,
     can_flow_to,
@@ -343,6 +347,74 @@ def test_label_caches_stay_bounded_under_distinct_labels():
     assert [fn.cache_info().currsize for fn in CACHED] == [LABEL_CACHE_SIZE] * 2
 
 
+def _rebuilt(a: CNF) -> CNF:
+    """An equal CNF sharing no object with ``a``."""
+    return CNF(
+        frozenset(Clause(frozenset(Principal(p.name) for p in c.principals)) for c in a.clauses)
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.builds(DCLabel, cnf_st, cnf_st), st.builds(DCLabel, cnf_st, cnf_st))
+def test_memoized_can_flow_to_agrees_with_the_oracle_cold_and_warm(l1, l2):
+    twin = DCLabel(_rebuilt(l1.secrecy), _rebuilt(l1.integrity))
+    assert twin == l1 and hash(twin) == hash(l1)
+    assert hash(Privilege(_rebuilt(l2.secrecy))) == hash(Privilege(l2.secrecy))
+    can_flow_to.cache_clear()
+    want = oracle_can_flow_to(l1, l2)
+    assert can_flow_to(l1, l2) == want  # cold
+    assert can_flow_to(twin, l2) == want  # warm: the equal twin finds the entry
+    assert can_flow_to.cache_info().hits == 1
+    assert can_flow_to.__wrapped__(l1, l2) == want
+
+
+def test_can_flow_to_cache_stays_bounded_under_distinct_pairs():
+    can_flow_to.cache_clear()
+    for i in range(LABEL_CACHE_SIZE + 100):
+        lab = DCLabel(cnf_from_principal(f"P{i}"), CNF_TRUE)
+        assert can_flow_to(DC_PUBLIC, lab) and not can_flow_to(lab, DC_PUBLIC)
+    assert can_flow_to.cache_info().currsize == LABEL_CACHE_SIZE
+
+
+_PICKLE_LABEL = """
+import pickle, sys
+from enclaveflow.labels import DCLabel, Privilege, cnf
+pair = (DCLabel(cnf({"Alice", "Bob"}), cnf({"Carol"})), Privilege(cnf({"Carol"})))
+sys.stdout.write(pickle.dumps(pair).hex())
+"""
+
+_FIND_LABEL = """
+import pickle, sys
+from enclaveflow.labels import DCLabel, Privilege, cnf
+label, priv = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = {
+    DCLabel(cnf({"Alice", "Bob"}), cnf({"Carol"})): "label",
+    Privilege(cnf({"Carol"})): "priv",
+}
+assert (fresh[label], fresh[priv]) == ("label", "priv")
+print(hash(label))
+"""
+
+
+def test_a_pickled_label_is_found_under_another_hash_seed():
+    # str hashes are salted per process: an unpickled label must hash anew
+    def run(code: str, seed: str, stdin: str = "") -> str:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            input=stdin,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    pickled = run(_PICKLE_LABEL, "1")
+    assert run(_FIND_LABEL, "2", pickled) != run(_FIND_LABEL, "3", pickled)
+
+
 def test_sole_principal():
     assert cnf_from_principal("P1").sole_principal() == "P1"
     assert CNF_TRUE.sole_principal() is None
@@ -566,3 +638,19 @@ def test_a_huge_clause_count_with_no_clauses_fails_at_once():
     for buf in (b"\xff\xff", b"\xff\xff\x00\x01", encode_label(DC_PUBLIC)[:2] + b"\xff\xff"):
         with pytest.raises(LabelError, match="truncated"):
             read_label(buf, 0)
+
+
+def singleton_clauses(n: int) -> CNF:
+    return CNF(frozenset(Clause(frozenset({Principal(f"p{i:04}")})) for i in range(n)))
+
+
+def test_a_cnf_over_the_clause_bound_is_refused_before_it_is_built():
+    at_bound = DCLabel(singleton_clauses(LABEL_MAX_CLAUSES), CNF_TRUE)
+    raw = encode_label(at_bound)
+    assert decode_label(raw) == uncached_parse(raw) == at_bound
+    for n in (LABEL_MAX_CLAUSES + 1, 4000):
+        raw = encode_label(DCLabel(singleton_clauses(n), CNF_TRUE))
+        with pytest.raises(LabelError, match="more than"):
+            decode_label(raw)
+        with pytest.raises(LabelError, match="more than"):
+            read_cnf(raw, 0)
