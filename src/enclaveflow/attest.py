@@ -11,8 +11,6 @@ records; nothing is dispatched on a connection that has not authenticated.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import os
 import socket
 import struct
@@ -23,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives import hashes, hmac
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -33,13 +31,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
 
 from .errors import (
     AttestationFailure,
@@ -68,6 +59,7 @@ __all__ = [
     "IDLE_TIMEOUT_S",
     "send_frame",
     "recv_frame",
+    "sha256",
     "compute_measurement",
     "Session",
     "handshake_client",
@@ -142,7 +134,22 @@ def recv_frame(sock: socket.socket, deadline: float | None = None) -> bytes:
     return _recv_exact(sock, length, deadline)
 
 
-# --- measurement ----------------------------------------------------------------
+# --- digests: every hash and MAC comes from ``cryptography``'s OpenSSL ------------
+# (the stdlib's digest modules would load the system libcrypto beside it)
+
+
+def sha256(*parts: bytes) -> bytes:
+    """SHA-256 of the concatenation of ``parts``."""
+    h = hashes.Hash(hashes.SHA256())
+    for part in parts:
+        h.update(part)
+    return h.finalize()
+
+
+def _hmac_sha256(key: bytes, data: bytes) -> bytes:
+    mac = hmac.HMAC(key, hashes.SHA256())
+    mac.update(data)
+    return mac.finalize()
 
 
 def compute_measurement(
@@ -151,26 +158,15 @@ def compute_measurement(
     """Digest of the enclave identity: code version, the full dispatch
     table (call ids and function names, in id order), and the provisioned
     configuration.  Any drift in any of them changes the digest."""
-    h = hashlib.sha256()
     version_raw = code_version.encode("utf-8")
-    h.update(struct.pack(">H", len(version_raw)))
-    h.update(version_raw)
+    parts = [struct.pack(">H", len(version_raw)), version_raw]
     for call_id, name in sorted(table):
         raw = name.encode("utf-8")
-        h.update(struct.pack(">I", call_id))
-        h.update(struct.pack(">H", len(raw)))
-        h.update(raw)
-    h.update(hashlib.sha256(config_bytes).digest())
-    return h.digest()
+        parts += [struct.pack(">IH", call_id, len(raw)), raw]
+    return sha256(*parts, sha256(config_bytes))
 
 
 # --- sessions ---------------------------------------------------------------------
-
-
-def _hkdf(shared: bytes, transcript: bytes, label: bytes, length: int = 32) -> bytes:
-    return HKDF(
-        algorithm=hashes.SHA256(), length=length, salt=transcript, info=label
-    ).derive(shared)
 
 
 # a record's nonce: 4 zero bytes, then its big-endian sequence number
@@ -215,13 +211,17 @@ def _derive_session(
     shared: bytes, transcript: bytes, *, client: bool
 ) -> tuple[Session, bytes]:
     """Returns (the caller's session, finish_mac_key).  The client sends
-    under the c2s key and the server under the s2c key."""
-    c2s = _hkdf(shared, transcript, b"c2s")
-    s2c = _hkdf(shared, transcript, b"s2c")
-    fin = _hkdf(shared, transcript, b"fin")
-    sid = _hkdf(shared, transcript, b"sid", length=16)
+    under the c2s key and the server under the s2c key.
+
+    HKDF-SHA256 (RFC 5869) with the transcript as salt and each label as
+    info: one Extract, then a one-block Expand per label, which is all of
+    Expand for an output of at most 32 bytes."""
+    prk = _hmac_sha256(transcript, shared)
+    c2s, s2c, fin, sid = (
+        _hmac_sha256(prk, label + b"\x01") for label in (b"c2s", b"s2c", b"fin", b"sid")
+    )
     send_key, recv_key = (c2s, s2c) if client else (s2c, c2s)
-    return Session(session_id=sid, send_key=send_key, recv_key=recv_key), fin
+    return Session(session_id=sid[:16], send_key=send_key, recv_key=recv_key), fin
 
 
 # --- handshake --------------------------------------------------------------------
@@ -258,7 +258,21 @@ def _parse_attest(body: bytes) -> tuple[bytes, bytes, bytes, bytes]:
 
 
 def _report_data(eph_pub: bytes, nonce: bytes) -> bytes:
-    return hashlib.sha256(eph_pub + nonce).digest()
+    return sha256(eph_pub, nonce)
+
+
+def _finish_ok(finish: bytes, fin_key: bytes, transcript: bytes) -> bool:
+    """Whether ``finish`` is a FINISH message carrying the transcript's MAC
+    under ``fin_key``; the MAC is compared in constant time."""
+    if len(finish) != 33 or finish[0] != MSG_CLIENT_FINISH:
+        return False
+    mac = hmac.HMAC(fin_key, hashes.SHA256())
+    mac.update(transcript)
+    try:
+        mac.verify(finish[1:])
+    except InvalidSignature:
+        return False
+    return True
 
 
 def _exchange(priv: X25519PrivateKey, peer_pub: bytes) -> bytes | None:
@@ -284,7 +298,7 @@ def handshake_client(
     application data if any check fails."""
     nonce = os.urandom(32)
     eph_priv = X25519PrivateKey.generate()
-    eph_pub = eph_priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    eph_pub = eph_priv.public_key().public_bytes_raw()
     to_sign = _hello_signed_bytes(nonce, eph_pub, client_name)
     sig = signing_key.sign(to_sign) if signing_key is not None else _ZERO_SIG
     hello = _hello_body(nonce, client_name, eph_pub, sig)
@@ -314,9 +328,9 @@ def handshake_client(
     shared = _exchange(eph_priv, enclave_pub)
     if shared is None:
         raise AttestationFailure("bad-key-share", "enclave key share refused")
-    transcript = hashlib.sha256(hello + reply).digest()
+    transcript = sha256(hello, reply)
     client_session, fin_key = _derive_session(shared, transcript, client=True)
-    mac = hmac.new(fin_key, transcript, hashlib.sha256).digest()
+    mac = _hmac_sha256(fin_key, transcript)
     send_frame(sock, bytes([MSG_CLIENT_FINISH]) + mac)
     return client_session
 
@@ -368,23 +382,17 @@ def handshake_server(
     if shared is None:
         send_frame(sock, encode_result_err(ErrorCode.AUTH_FAILURE, "client key share refused"))
         raise AuthFailure("client key share refused")
-    eph_pub = eph_priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    eph_pub = eph_priv.public_key().public_bytes_raw()
     report_data = _report_data(eph_pub, nonce)
     quote_sig = authority_private.sign(measurement + report_data)
     attest = _attest_body(eph_pub, measurement, report_data, quote_sig)
     send_frame(sock, attest)
 
-    transcript = hashlib.sha256(hello + attest).digest()
+    transcript = sha256(hello, attest)
     server_session, fin_key = _derive_session(shared, transcript, client=False)
 
     finish = recv_frame(sock, deadline)
-    if (
-        len(finish) != 33
-        or finish[0] != MSG_CLIENT_FINISH
-        or not hmac.compare_digest(
-            finish[1:], hmac.new(fin_key, transcript, hashlib.sha256).digest()
-        )
-    ):
+    if not _finish_ok(finish, fin_key, transcript):
         send_frame(
             sock, encode_result_err(ErrorCode.AUTH_FAILURE, "key confirmation failed")
         )
@@ -570,11 +578,11 @@ def gen_signing_key() -> Ed25519PrivateKey:
 
 
 def private_raw(key: Ed25519PrivateKey | X25519PrivateKey) -> bytes:
-    return key.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption())
+    return key.private_bytes_raw()
 
 
-def public_raw(key) -> bytes:
-    return key.public_bytes(Encoding.Raw, PublicFormat.Raw)
+def public_raw(key: Ed25519PublicKey | X25519PublicKey) -> bytes:
+    return key.public_bytes_raw()
 
 
 def save_key_hex(path: str | Path, raw: bytes) -> None:

@@ -26,7 +26,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .app import App
 from .errors import CryptoError, DecodeError, NotReady, UsageError
@@ -148,7 +147,7 @@ def encrypt_result(public_key: X25519PublicKey, plaintext: bytes) -> bytes:
     eph = X25519PrivateKey.generate()
     key = _envelope_key(eph.exchange(public_key))
     ct = ChaCha20Poly1305(key).encrypt(bytes(12), plaintext, None)
-    return eph.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw) + ct
+    return eph.public_key().public_bytes_raw() + ct
 
 
 def decrypt_result(private_key: X25519PrivateKey, envelope: bytes) -> bytes:

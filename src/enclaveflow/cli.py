@@ -17,11 +17,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import random
 import socket
-import statistics
 import sys
 import threading
 import time
@@ -45,8 +43,8 @@ from .attest import (
     recv_frame,
     save_key_hex,
     send_frame,
+    sha256,
 )
-from .cleanroom import CleanRoomConfig, build_cleanroom_program
 from .errors import (
     IFC_VIOLATION_MESSAGE,
     AttestationFailure,
@@ -169,8 +167,9 @@ def _code_version(cfg: RunConfig) -> str:
 
 def _measurement_config_bytes(cfg: RunConfig) -> bytes:
     """The config facts the measurement binds: anything both sides must
-    agree on beyond the call table itself."""
-    subset: dict = {"app": cfg.app}
+    agree on beyond the call table itself, and which guards the enclave
+    runs, so one serving without IFC or client signatures attests apart."""
+    subset: dict = {"app": cfg.app, "ifc": cfg.ifc, "client_sig": cfg.client_sig}
     if cfg.app == "cleanroom":
         subset.update(
             providers=cfg.providers, consumer=cfg.consumer, thresholds=cfg.thresholds
@@ -237,6 +236,8 @@ def build_leaky_program(secret: str = "s3cr3t-token") -> Callable[[App], None]:
 
 
 def _cleanroom_config(cfg: RunConfig, role: str) -> CleanRoomConfig:
+    from .cleanroom import CleanRoomConfig
+
     consumer_public = None
     consumer_private = None
     if role == ENCLAVE_ROLE:
@@ -262,6 +263,9 @@ def _build_program(cfg: RunConfig, role: str) -> Callable[[App], None]:
     if cfg.app == "password-checker":
         return build_password_program(cfg.password)
     if cfg.app == "cleanroom":
+        # imported only here: no other app's enclave loads the clean room
+        from .cleanroom import build_cleanroom_program
+
         return build_cleanroom_program(_cleanroom_config(cfg, role))
     return build_leaky_program()
 
@@ -325,7 +329,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
         save_key_hex(priv_path, private_raw(key))
         pub = public_raw(key.public_key())
         save_key_hex(pub_path, pub)
-        print(f"{label}: {hashlib.sha256(pub).hexdigest()[:16]}")
+        print(f"{label}: {sha256(pub).hex()[:16]}")
     print(f"{2 * len(targets)} key files in {out}")
     return EXIT_OK
 
@@ -463,6 +467,8 @@ BENCH_CONFIGS: list[tuple[str, bool, bool, bool]] = [
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import statistics
+
     if args.iterations < 1:
         raise UsageError("iterations must be >= 1")
     cfg = RunConfig(app="password-checker", port=0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import hmac
 import os
 import random
 import socket
@@ -11,9 +12,11 @@ import threading
 import time
 
 import pytest
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings, strategies as st
 
 from enclaveflow.attest import (
@@ -37,6 +40,7 @@ from enclaveflow.attest import (
     recv_frame,
     save_key_hex,
     send_frame,
+    _derive_session,
 )
 from enclaveflow.errors import (
     AttestationFailure,
@@ -882,3 +886,111 @@ def test_key_file_rejects_garbage(tmp_path):
     bad.write_text("abcd")  # valid hex, wrong length
     with pytest.raises(CryptoError):
         load_signing_public(bad)
+
+
+# --- byte pins: the digests, the key schedule and FINISH, recomputed with the stdlib ---
+
+
+def hkdf(shared: bytes, transcript: bytes, label: bytes, length: int = 32) -> bytes:
+    kdf = HKDF(algorithm=hashes.SHA256(), length=length, salt=transcript, info=label)
+    return kdf.derive(shared)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    version=st.text(max_size=20),
+    table=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.text(max_size=20)), max_size=6),
+    config=st.binary(max_size=200),
+)
+def test_measurement_equals_a_hashlib_recomputation(version, table, config):
+    h = hashlib.sha256()
+    raw = version.encode("utf-8")
+    h.update(struct.pack(">H", len(raw)) + raw)
+    for call_id, name in sorted(table):
+        raw = name.encode("utf-8")
+        h.update(struct.pack(">I", call_id) + struct.pack(">H", len(raw)) + raw)
+    h.update(hashlib.sha256(config).digest())
+    assert compute_measurement(version, table, config) == h.digest()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(shared=st.binary(min_size=32, max_size=32), transcript=st.binary(max_size=96))
+def test_key_schedule_is_hkdf_per_label(shared, transcript):
+    client, client_fin = _derive_session(shared, transcript, client=True)
+    server, server_fin = _derive_session(shared, transcript, client=False)
+    c2s, s2c = hkdf(shared, transcript, b"c2s"), hkdf(shared, transcript, b"s2c")
+    assert (client.send_key, client.recv_key) == (c2s, s2c)
+    assert (server.send_key, server.recv_key) == (s2c, c2s)
+    assert client_fin == server_fin == hkdf(shared, transcript, b"fin")
+    assert client.session_id == server.session_id == hkdf(shared, transcript, b"sid", 16)
+
+
+def test_client_finish_is_the_stdlib_hmac_of_the_transcript():
+    # the enclave is played by hand, so its share, and the secret, are ours
+    c, s = spair()
+    slot: dict = {}
+
+    def fake_enclave():
+        hello = recv_frame(s)
+        nonce, share = hello[1:33], hello[-96:-64]
+        eph = X25519PrivateKey.generate()
+        eph_pub = eph.public_key().public_bytes_raw()
+        report_data = hashlib.sha256(eph_pub + nonce).digest()
+        quote = AUTHORITY.sign(MEASUREMENT + report_data)
+        attest = b"\x11" + eph_pub + MEASUREMENT + report_data + quote
+        send_frame(s, attest)
+        slot["shared"] = eph.exchange(X25519PublicKey.from_public_bytes(share))
+        slot["transcript"] = hashlib.sha256(hello + attest).digest()
+        slot["finish"] = recv_frame(s)
+
+    t = threading.Thread(target=fake_enclave)
+    t.start()
+    session = handshake_client(
+        c,
+        client_name="Alice",
+        signing_key=ALICE_KEY,
+        expected_measurement=MEASUREMENT,
+        authority_public=AUTHORITY_PUB,
+    )
+    t.join(5)
+    assert not t.is_alive()
+    c.close()
+    s.close()
+    shared, transcript = slot["shared"], slot["transcript"]
+    fin = hkdf(shared, transcript, b"fin")
+    assert slot["finish"] == bytes([MSG_CLIENT_FINISH]) + hmac.new(
+        fin, transcript, hashlib.sha256
+    ).digest()
+    assert session.send_key == hkdf(shared, transcript, b"c2s")
+    assert session.session_id == hkdf(shared, transcript, b"sid", 16)
+
+
+@pytest.mark.parametrize("bit", [None, 0, 7, 100, 255], ids=lambda b: f"bit-{b}")
+def test_a_finish_with_one_flipped_mac_bit_is_refused(bit):
+    # the client is played by hand; bit None is the control, sent intact
+    c, s = spair()
+    slot = run_server(s)
+    eph = X25519PrivateKey.generate()
+    hello = signed_hello(eph.public_key().public_bytes_raw())
+    send_frame(c, hello)
+    attest = recv_frame(c)
+    shared = eph.exchange(X25519PublicKey.from_public_bytes(attest[1:33]))
+    transcript = hashlib.sha256(hello + attest).digest()
+    fin = hkdf(shared, transcript, b"fin")
+    mac = bytearray(hmac.new(fin, transcript, hashlib.sha256).digest())
+    if bit is not None:
+        mac[bit // 8] ^= 1 << (bit % 8)
+    send_frame(c, bytes([MSG_CLIENT_FINISH]) + mac)
+    if bit is None:
+        slot["thread"].join(5)
+        assert slot["session"].send_key == hkdf(shared, transcript, b"s2c")
+        assert slot["name"] == "Alice"
+    else:
+        assert decode_message(recv_frame(c)) == ResultErr(
+            ErrorCode.AUTH_FAILURE, "key confirmation failed"
+        )
+        slot["thread"].join(5)
+        assert isinstance(slot["error"], AuthFailure)
+    assert not slot["thread"].is_alive()
+    c.close()
+    s.close()

@@ -3,8 +3,10 @@ and the two demo apps driven through real subprocesses."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -91,6 +93,14 @@ def test_measurement_config_bytes_is_canonical():
     assert one == two
 
 
+@pytest.mark.parametrize("app", ["password-checker", "cleanroom"])
+def test_measurement_binds_the_ifc_and_client_sig_guards(app):
+    # an enclave serving without a guard must not attest as one that runs it
+    base = _probe_measurement(RunConfig(app=app))
+    assert _probe_measurement(RunConfig(app=app, ifc=False)) != base
+    assert _probe_measurement(RunConfig(app=app, client_sig=False)) != base
+
+
 # --- provisioning -----------------------------------------------------------------
 
 
@@ -106,6 +116,19 @@ def test_provision_writes_cleanroom_keyset(tmp_path, capsys):
     key = load_signing_private(out / "P1_signing_private.hex")
     key.public_key().verify(key.sign(b"check"), b"check")
     load_exchange_private(out / "C1_exchange_private.hex")
+
+
+def test_provision_prints_the_sha256_fingerprint_of_each_public_key(tmp_path, capsys):
+    out = tmp_path / "keys"
+    assert main(["provision", "--out", str(out), "--clients", "user", "--exchange", "C1"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for label, stem in (
+        ("authority", "authority"),
+        ("user signing", "user_signing"),
+        ("C1 exchange", "C1_exchange"),
+    ):
+        pub = bytes.fromhex((out / f"{stem}_public.hex").read_text())
+        assert f"{label}: {hashlib.sha256(pub).hexdigest()[:16]}" in printed
 
 
 def test_provision_refuses_overwrite(tmp_path, capsys):
@@ -408,3 +431,44 @@ def test_attack_control_experiment(capsys):
     out = capsys.readouterr().out
     assert "unknown-client: FAIL" in out
     assert "3/4 attacks blocked" in out
+
+
+# --- the enclave's image: only the modules it runs ---------------------------------------
+
+# stdlib digests load the system libcrypto beside cryptography's; statistics
+# is the bench's; serialization pulls in RSA, EC, DSA and the OID tables
+NOT_IN_ANY_ENCLAVE = {
+    "_hashlib",
+    "hashlib",
+    "hmac",
+    "statistics",
+    "cryptography.hazmat.primitives.serialization",
+}
+
+STAGE_ONLY = """
+import sys
+from enclaveflow import cli
+from enclaveflow.attest import gen_signing_key
+
+cfg = cli.RunConfig(app=sys.argv[1], port=0, consumer_public_key=sys.argv[2])
+cli._stage_enclave(cfg, gen_signing_key(), {}).listener.close()
+print("\\n".join(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("app", ["password-checker", "cleanroom"])
+def test_a_staged_enclave_loads_only_the_modules_it_runs(tmp_path, app):
+    consumer_public = tmp_path / "C1_exchange_public.hex"
+    consumer_public.write_text(bytes(range(1, 33)).hex() + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", STAGE_ONLY, app, str(consumer_public)],
+        capture_output=True,
+        timeout=60,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = set(proc.stdout.decode().split())
+    assert "enclaveflow.attest" in loaded
+    assert loaded & NOT_IN_ANY_ENCLAVE == set()
+    # a password checker never even compiles the clean room
+    assert ("enclaveflow.cleanroom" in loaded) == (app == "cleanroom")
