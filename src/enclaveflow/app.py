@@ -21,6 +21,7 @@ from .errors import (
     DecodeError,
     ErrorCode,
     IfcViolation,
+    LabelError,
     NotReady,
     RemoteError,
     StagingError,
@@ -266,7 +267,7 @@ class App:
             return _IFC_VIOLATION_RESPONSE
         try:
             return encode_result_ok(result)
-        except (TypeError, OverflowError):
+        except (TypeError, OverflowError, LabelError):
             return _ERROR_RESPONSES[Exception]
 
     # --- client side: the gateway ------------------------------------------------

@@ -58,14 +58,12 @@ __all__ = [
     "HANDSHAKE_DEADLINE_S",
     "IDLE_TIMEOUT_S",
     "send_frame",
-    "recv_frame",
     "sha256",
     "compute_measurement",
     "Session",
     "handshake_client",
     "handshake_server",
-    "PlainChannel",
-    "SealedChannel",
+    "Channel",
     "connect_channel",
     "Monitor",
     "gen_signing_key",
@@ -99,39 +97,67 @@ _ZERO_SIG = bytes(64)
 # --- framing -----------------------------------------------------------------
 
 
-def _recv_exact(
-    sock: socket.socket, n: int, deadline: float | None = None, start: bytes = b""
-) -> bytes:
-    """``start`` and then what the socket sends, up to ``n`` bytes in all.
-    Reads never ask for more than is missing, so nothing past the n-th
-    byte leaves the socket."""
-    buf = bytearray(start)
-    while len(buf) < n:
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise TransportError("read deadline passed")
-            sock.settimeout(left)
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise TransportError("connection closed mid-frame")
-        buf.extend(chunk)
-    return bytes(buf)
-
-
 def send_frame(sock: socket.socket, body: bytes) -> None:
     if len(body) > MAX_FRAME:
         raise TransportError("frame too large to send")
     sock.sendall(_U32.pack(len(body)) + body)
 
 
-def recv_frame(sock: socket.socket, deadline: float | None = None) -> bytes:
-    """One frame.  With a ``deadline`` (a ``time.monotonic()`` instant),
-    every read waits only for what is left of it."""
-    (length,) = _U32.unpack(_recv_exact(sock, 4, deadline))
-    if length > MAX_FRAME:
-        raise TransportError("oversized frame")
-    return _recv_exact(sock, length, deadline)
+class Channel:
+    """A socket, its receive buffer, and the session that seals its
+    records once a handshake has set one; without a session, messages
+    travel as plain frames.  The handshake and the records read through
+    the same buffer, so bytes that follow a handshake frame wait for the
+    next message."""
+
+    def __init__(self, sock: socket.socket, session: Session | None = None):
+        self.sock = sock
+        self.session = session
+        self._pending = b""
+
+    def _recv(self, n: int, deadline: float | None) -> bytes:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TransportError("read deadline passed")
+            self.sock.settimeout(left)
+        chunk = self.sock.recv(n)
+        if not chunk:
+            raise TransportError("connection closed mid-frame")
+        return chunk
+
+    def recv_frame(self, deadline: float | None = None) -> bytes:
+        """One frame.  One ``recv`` of up to ``_RECV_CHUNK`` bytes normally
+        holds all of it; the rest of a longer body is read to its exact
+        length.  With a ``deadline`` (a ``time.monotonic()`` instant),
+        every read waits only for what is left of it."""
+        data = self._pending
+        while len(data) < 4:
+            data += self._recv(_RECV_CHUNK, deadline)
+        (length,) = _U32.unpack_from(data)
+        if length > MAX_FRAME:
+            raise TransportError("oversized frame")
+        end = 4 + length
+        if len(data) >= end:
+            self._pending = data[end:]
+            return data[4:end]
+        self._pending = b""
+        body = bytearray(data[4:])
+        while len(body) < length:
+            body += self._recv(length - len(body), deadline)
+        return bytes(body)
+
+    def send_message(self, body: bytes) -> None:
+        if self.session is not None:
+            body = self.session.seal(body)
+        send_frame(self.sock, body)
+
+    def recv_message(self) -> bytes:
+        body = self.recv_frame()
+        return body if self.session is None else self.session.open(body)
+
+    def close(self) -> None:
+        self.sock.close()
 
 
 # --- digests: every hash and MAC comes from ``cryptography``'s OpenSSL ------------
@@ -286,7 +312,7 @@ def _exchange(priv: X25519PrivateKey, peer_pub: bytes) -> bytes | None:
 
 
 def handshake_client(
-    sock: socket.socket,
+    channel: Channel,
     *,
     client_name: str,
     signing_key: Ed25519PrivateKey | None,
@@ -302,9 +328,9 @@ def handshake_client(
     to_sign = _hello_signed_bytes(nonce, eph_pub, client_name)
     sig = signing_key.sign(to_sign) if signing_key is not None else _ZERO_SIG
     hello = _hello_body(nonce, client_name, eph_pub, sig)
-    send_frame(sock, hello)
+    send_frame(channel.sock, hello)
 
-    reply = recv_frame(sock)
+    reply = channel.recv_frame()
     if reply and reply[0] == MSG_RESULT_ERR:  # pre-session refusal (e.g. auth)
         msg = decode_message(reply)
         assert isinstance(msg, ResultErr)
@@ -331,12 +357,12 @@ def handshake_client(
     transcript = sha256(hello, reply)
     client_session, fin_key = _derive_session(shared, transcript, client=True)
     mac = _hmac_sha256(fin_key, transcript)
-    send_frame(sock, bytes([MSG_CLIENT_FINISH]) + mac)
+    send_frame(channel.sock, bytes([MSG_CLIENT_FINISH]) + mac)
     return client_session
 
 
 def handshake_server(
-    sock: socket.socket,
+    channel: Channel,
     *,
     measurement: bytes,
     authority_private: Ed25519PrivateKey,
@@ -352,8 +378,9 @@ def handshake_server(
     TransportError or ``socket.timeout``; the socket's own timeout is put
     back once the handshake succeeds."""
     deadline = time.monotonic() + HANDSHAKE_DEADLINE_S
+    sock = channel.sock
     timeout = sock.gettimeout()
-    hello = recv_frame(sock, deadline)
+    hello = channel.recv_frame(deadline)
     try:
         nonce, name, client_eph, client_sig = _parse_hello(hello)
     except DecodeError:
@@ -391,7 +418,7 @@ def handshake_server(
     transcript = sha256(hello, attest)
     server_session, fin_key = _derive_session(shared, transcript, client=False)
 
-    finish = recv_frame(sock, deadline)
+    finish = channel.recv_frame(deadline)
     if not _finish_ok(finish, fin_key, transcript):
         send_frame(
             sock, encode_result_err(ErrorCode.AUTH_FAILURE, "key confirmation failed")
@@ -401,62 +428,7 @@ def handshake_server(
     return server_session, name
 
 
-# --- channels: one interface whether sealed or plain --------------------------------
-
-
-class _FramedChannel:
-    """A socket and its receive buffer.  One ``recv`` of up to
-    ``_RECV_CHUNK`` bytes normally holds a whole frame; bytes past it wait
-    in the buffer for the next message.  The rest of a longer body is read
-    to its exact length."""
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self._pending = b""
-
-    def _recv_frame(self) -> bytes:
-        data = self._pending
-        while len(data) < 4:
-            chunk = self.sock.recv(_RECV_CHUNK)
-            if not chunk:
-                raise TransportError("connection closed mid-frame")
-            data += chunk
-        (length,) = _U32.unpack_from(data)
-        if length > MAX_FRAME:
-            raise TransportError("oversized frame")
-        end = 4 + length
-        if len(data) >= end:
-            self._pending = data[end:]
-            return data[4:end]
-        self._pending = b""
-        return _recv_exact(self.sock, length, start=data[4:])
-
-    def close(self) -> None:
-        self.sock.close()
-
-
-class PlainChannel(_FramedChannel):
-    """Framing only — the attestation-off mode for benchmarking."""
-
-    def send_message(self, body: bytes) -> None:
-        send_frame(self.sock, body)
-
-    def recv_message(self) -> bytes:
-        return self._recv_frame()
-
-
-class SealedChannel(_FramedChannel):
-    """Frames carrying AEAD records under an established session."""
-
-    def __init__(self, sock: socket.socket, session: Session):
-        super().__init__(sock)
-        self.session = session
-
-    def send_message(self, body: bytes) -> None:
-        send_frame(self.sock, self.session.seal(body))
-
-    def recv_message(self) -> bytes:
-        return self.session.open(self._recv_frame())
+# --- connections --------------------------------------------------------------------
 
 
 def connect_channel(
@@ -469,26 +441,26 @@ def connect_channel(
     expected_measurement: bytes = b"",
     authority_public: Ed25519PublicKey | None = None,
     timeout: float | None = 10.0,
-) -> PlainChannel | SealedChannel:
-    sock = socket.create_connection((host, port), timeout=timeout)
-    # small frames ping-pong here; Nagle + delayed ACK would add ~40ms each
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    if not attested:
-        return PlainChannel(sock)
-    if authority_public is None:
+) -> Channel:
+    if attested and authority_public is None:
         raise ValueError("attested connection requires the authority public key")
+    channel = Channel(socket.create_connection((host, port), timeout=timeout))
     try:
-        session = handshake_client(
-            sock,
-            client_name=client_name,
-            signing_key=signing_key,
-            expected_measurement=expected_measurement,
-            authority_public=authority_public,
-        )
+        # small frames ping-pong here; Nagle + delayed ACK would add ~40ms each
+        channel.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if attested:
+            assert authority_public is not None
+            channel.session = handshake_client(
+                channel,
+                client_name=client_name,
+                signing_key=signing_key,
+                expected_measurement=expected_measurement,
+                authority_public=authority_public,
+            )
     except Exception:
-        sock.close()
+        channel.close()
         raise
-    return SealedChannel(sock, session)
+    return channel
 
 
 # --- the monitor loop ----------------------------------------------------------------
@@ -550,18 +522,16 @@ class Monitor:
     def serve_connection(self, conn: socket.socket) -> None:
         conn.settimeout(IDLE_TIMEOUT_S)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        channel = Channel(conn)
         if self.attested:
             assert self.authority_private is not None
-            session, _name = handshake_server(
-                conn,
+            channel.session, _name = handshake_server(
+                channel,
                 measurement=self.measurement,
                 authority_private=self.authority_private,
                 credentials=self.credentials,
                 verify_client=self.verify_client,
             )
-            channel: PlainChannel | SealedChannel = SealedChannel(conn, session)
-        else:
-            channel = PlainChannel(conn)
         while True:
             try:
                 request = channel.recv_message()

@@ -31,6 +31,7 @@ from .app import ENCLAVE_ROLE, App, run_app
 from .attest import (
     MSG_RECORD,
     MSG_SERVER_ATTEST,
+    Channel,
     Monitor,
     connect_channel,
     gen_signing_key,
@@ -40,7 +41,6 @@ from .attest import (
     load_signing_public,
     private_raw,
     public_raw,
-    recv_frame,
     save_key_hex,
     send_frame,
     sha256,
@@ -536,9 +536,10 @@ def _one_shot_proxy(
     proxy_port = listener.getsockname()[1]
 
     def pump(src: socket.socket, dst: socket.socket, transform) -> None:
+        frames = Channel(src)
         try:
             while True:
-                body = recv_frame(src)
+                body = frames.recv_frame()
                 send_frame(dst, transform(body) if transform else body)
         except (TransportError, OSError):
             # shutdown, not just close: it wakes the sibling pump's blocked

@@ -24,7 +24,8 @@ cached, so malformed bytes are parsed and refused on every call; longer
 encodings are parsed afresh each time, so a peer cannot pin large labels.
 ``read_cnf`` refuses a CNF of more than ``LABEL_MAX_CLAUSES`` clauses
 before it builds any, so its canonical check, which compares every pair
-of clauses, stays cheap however a peer pads a label.
+of clauses, stays cheap however a peer pads a label; ``encode_cnf``
+refuses the same, so nothing encoded here is undecodable.
 """
 
 from __future__ import annotations
@@ -254,9 +255,9 @@ EMPTY_PRIVILEGE = Privilege(CNF_TRUE)
 LABEL_CACHE_SIZE = 1024
 # Longest label encoding, in bytes, that ``read_label`` interns.
 LABEL_INTERN_MAX = 256
-# Most clauses ``read_cnf`` accepts in one CNF.  Its canonical check
-# compares every clause with every other, so the bound keeps that check
-# within a small multiple of the label's bytes.
+# Most clauses ``read_cnf`` accepts, and ``encode_cnf`` writes, in one
+# CNF.  The canonical check compares every clause with every other, so the
+# bound keeps that check within a small multiple of the label's bytes.
 LABEL_MAX_CLAUSES = 16
 
 
@@ -343,8 +344,8 @@ def _encode_clause(c: Clause) -> bytes:
 
 
 def encode_cnf(a: CNF) -> bytes:
-    if len(a.clauses) > 0xFFFF:
-        raise LabelError("CNF too large to encode")
+    if len(a.clauses) > LABEL_MAX_CLAUSES:
+        raise LabelError(f"CNF has more than {LABEL_MAX_CLAUSES} clauses")
     encoded = sorted(_encode_clause(c) for c in a.clauses)
     return _U16.pack(len(a.clauses)) + b"".join(encoded)
 

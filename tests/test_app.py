@@ -20,6 +20,7 @@ from enclaveflow.errors import (
     DecodeError,
     ErrorCode,
     IfcViolation,
+    LabelError,
     NotReady,
     RemoteError,
     StagingError,
@@ -39,10 +40,12 @@ from enclaveflow.labels import (
     cnf_from_principal,
 )
 from enclaveflow.wire import (
+    TAG_LABELED,
     ResultErr,
     ResultOk,
     decode_message,
     encode_call,
+    encode_call_raw,
     encode_value,
 )
 
@@ -261,6 +264,25 @@ def test_dispatch_accepts_declared_labeled_arg():
     app = enclave_app(lambda a: a.enclave_fn(PLAIN, takes_labeled, (LabeledValue,)))
     lv = LabeledValue(DCLabel(CNF_TRUE, CNF_TRUE), 9)
     assert decode_message(app.dispatch(encode_call(0, [lv]))) == ResultOk(9)
+
+
+def test_a_result_label_the_decoder_would_refuse_is_an_internal_error():
+    # ⟨True, 17 one-principal integrity clauses⟩ flows to the public output,
+    # so the gate opens; the encoder then refuses more clauses than any
+    # decoder accepts, and the caller reads the opaque error, not bytes it
+    # cannot decode
+    endorsed = CNF(frozenset(Clause(frozenset({Principal(f"p{i:02}")})) for i in range(17)))
+    label = DCLabel(CNF_TRUE, endorsed)
+
+    def program(app: App):
+        constant = app.labeled_constant(label, 1)
+        app.enclave_fn(PLAIN, lambda ctx: constant, (), name="endorsed")
+
+    app = enclave_app(program)
+    reply = decode_message(app.dispatch(encode_call(0, [])))
+    assert reply == ResultErr(ErrorCode.INTERNAL, "internal error")
+    with pytest.raises(LabelError):
+        SecureRef(0, 1, ()).apply(LabeledValue(label, 1))
 
 
 def test_dispatch_internal_errors_are_opaque():
@@ -653,10 +675,13 @@ def test_a_label_padded_with_clauses_is_refused_at_once_and_the_monitor_serves_o
             authority_public=authority.public_key(),
         )
 
-    padded = CNF(frozenset(Clause(frozenset({Principal(f"p{i:04}")})) for i in range(4000)))
+    # ⟨4000 one-principal clauses, True⟩ by hand, since the encoder refuses
+    # it: a u16 clause count, the sorted clauses, then True's empty CNF
+    clauses = sorted(b"\x00\x01\x00\x05" + f"p{i:04}".encode() for i in range(4000))
+    padded = (4000).to_bytes(2, "big") + b"".join(clauses) + b"\x00\x00"
     try:
         hostile = connect("hostile")
-        request = encode_call(0, [LabeledValue(DCLabel(padded, CNF_TRUE), 1)])
+        request = encode_call_raw(0, [bytes([TAG_LABELED]) + padded + encode_value(1)])
         start = time.monotonic()
         hostile.send_message(request)
         reply = decode_message(hostile.recv_message())

@@ -23,9 +23,8 @@ from enclaveflow.attest import (
     MAX_FRAME,
     MSG_CLIENT_FINISH,
     MSG_RECORD,
+    Channel,
     Monitor,
-    PlainChannel,
-    SealedChannel,
     compute_measurement,
     connect_channel,
     gen_signing_key,
@@ -37,7 +36,6 @@ from enclaveflow.attest import (
     load_signing_public,
     private_raw,
     public_raw,
-    recv_frame,
     save_key_hex,
     send_frame,
     _derive_session,
@@ -81,7 +79,7 @@ def run_server(sock, **kw):
     def go():
         try:
             slot["session"], slot["name"] = handshake_server(
-                sock,
+                Channel(sock),
                 measurement=kw.get("measurement", MEASUREMENT),
                 authority_private=kw.get("authority", AUTHORITY),
                 credentials=kw.get("credentials", CREDS),
@@ -125,7 +123,7 @@ def test_handshake_happy_path():
     c, s = spair()
     slot = run_server(s)
     session = handshake_client(
-        c,
+        Channel(c),
         client_name="Alice",
         signing_key=ALICE_KEY,
         expected_measurement=MEASUREMENT,
@@ -147,7 +145,7 @@ def test_unknown_client_is_refused():
     slot = run_server(s)
     with pytest.raises(AuthFailure):
         handshake_client(
-            c,
+            Channel(c),
             client_name="Mallory",
             signing_key=mallory,
             expected_measurement=MEASUREMENT,
@@ -163,7 +161,7 @@ def test_right_name_wrong_key_is_refused():
     slot = run_server(s)
     with pytest.raises(AuthFailure):
         handshake_client(
-            c,
+            Channel(c),
             client_name="Alice",
             signing_key=imposter,
             expected_measurement=MEASUREMENT,
@@ -176,7 +174,7 @@ def test_client_verification_can_be_disabled():
     c, s = spair()
     slot = run_server(s, verify_client=False, credentials={})
     session = handshake_client(
-        c,
+        Channel(c),
         client_name="anyone",
         signing_key=None,  # sends an all-zero signature
         expected_measurement=MEASUREMENT,
@@ -194,7 +192,7 @@ def test_measurement_mismatch_aborts():
     wrong[0] ^= 1
     with pytest.raises(AttestationFailure) as exc:
         handshake_client(
-            c,
+            Channel(c),
             client_name="Alice",
             signing_key=ALICE_KEY,
             expected_measurement=bytes(wrong),
@@ -211,7 +209,7 @@ def test_wrong_authority_is_bad_signature():
     other_authority = gen_signing_key()
     with pytest.raises(AttestationFailure) as exc:
         handshake_client(
-            c,
+            Channel(c),
             client_name="Alice",
             signing_key=ALICE_KEY,
             expected_measurement=MEASUREMENT,
@@ -233,13 +231,14 @@ def handshake_via_proxy(mutate, record: list | None = None):
     slot = run_server(s_server)
 
     def proxy():
+        from_client, from_server = Channel(c_proxy), Channel(s_proxy)
         try:
-            send_frame(s_proxy, recv_frame(c_proxy))  # hello →
-            attest = recv_frame(s_proxy)
+            send_frame(s_proxy, from_client.recv_frame())  # hello →
+            attest = from_server.recv_frame()
             if record is not None:
                 record.append(attest)
             send_frame(c_proxy, mutate(attest))  # ← attest (possibly rewritten)
-            send_frame(s_proxy, recv_frame(c_proxy))  # finish →
+            send_frame(s_proxy, from_client.recv_frame())  # finish →
         except (TransportError, OSError):
             pass
         finally:
@@ -250,7 +249,7 @@ def handshake_via_proxy(mutate, record: list | None = None):
     p.start()
     try:
         return handshake_client(
-            c_client,
+            Channel(c_client),
             client_name="Alice",
             signing_key=ALICE_KEY,
             expected_measurement=MEASUREMENT,
@@ -303,7 +302,7 @@ def make_sessions():
     c, s = spair()
     slot = run_server(s)
     client = handshake_client(
-        c,
+        Channel(c),
         client_name="Alice",
         signing_key=ALICE_KEY,
         expected_measurement=MEASUREMENT,
@@ -386,17 +385,18 @@ def test_record_must_carry_record_tag():
 
 def test_frame_roundtrip():
     a, b = spair()
+    ch = Channel(b)
     send_frame(a, b"hello")
-    assert recv_frame(b) == b"hello"
+    assert ch.recv_frame() == b"hello"
     send_frame(a, b"")
-    assert recv_frame(b) == b""
+    assert ch.recv_frame() == b""
 
 
 def test_oversized_frame_rejected():
     a, b = spair()
     a.sendall(struct.pack(">I", MAX_FRAME + 1))
     with pytest.raises(TransportError):
-        recv_frame(b)
+        Channel(b).recv_frame()
 
 
 def test_eof_mid_frame():
@@ -404,7 +404,7 @@ def test_eof_mid_frame():
     a.sendall(struct.pack(">I", 10) + b"abc")
     a.close()
     with pytest.raises(TransportError):
-        recv_frame(b)
+        Channel(b).recv_frame()
 
 
 # --- channel record reader ----------------------------------------------------------
@@ -430,7 +430,7 @@ class FakeSocket:
 def test_two_frames_in_one_write_are_two_messages():
     a, b = spair()
     a.sendall(frame(b"first") + frame(b"") + frame(b"third"))
-    ch = PlainChannel(b)
+    ch = Channel(b)
     assert [ch.recv_message() for _ in range(3)] == [b"first", b"", b"third"]
     a.close()
     with pytest.raises(TransportError):
@@ -439,16 +439,51 @@ def test_two_frames_in_one_write_are_two_messages():
 
 def test_a_frame_that_arrives_whole_costs_one_recv():
     fake = FakeSocket(frame(b"x" * 200) + frame(b"y"))
-    ch = PlainChannel(fake)
+    ch = Channel(fake)
     assert ch.recv_message() == b"x" * 200
     assert ch.recv_message() == b"y"  # already buffered
     assert fake.recvs == 1
 
 
+class CountingSocket:
+    """A real socket whose recv calls are counted."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock, self.recvs = sock, 0
+
+    def recv(self, n: int) -> bytes:
+        self.recvs += 1
+        return self.sock.recv(n)
+
+    def __getattr__(self, name: str):
+        return getattr(self.sock, name)
+
+
+def test_each_whole_handshake_frame_costs_one_recv():
+    # the handshake reads through the channel's buffer, as records do: the
+    # hello and the finish each arrive in one write, so each is one recv,
+    # and so is the quote on the client's side
+    c, s = spair()
+    client_sock, server_sock = CountingSocket(c), CountingSocket(s)
+    slot = run_server(server_sock)
+    session = handshake_client(
+        Channel(client_sock),
+        client_name="Alice",
+        signing_key=ALICE_KEY,
+        expected_measurement=MEASUREMENT,
+        authority_public=AUTHORITY_PUB,
+    )
+    slot["thread"].join(5)
+    assert slot["session"].session_id == session.session_id
+    assert (server_sock.recvs, client_sock.recvs) == (2, 1)
+    c.close()
+    s.close()
+
+
 def test_a_frame_sent_one_byte_at_a_time_is_reassembled():
     body = bytes(range(256)) * 3
     fake = FakeSocket(frame(body) + frame(b"next"), step=1)
-    ch = PlainChannel(fake)
+    ch = Channel(fake)
     assert ch.recv_message() == body
     assert ch.recv_message() == b"next"
     assert fake.recvs == 4 + len(body) + 4 + 4
@@ -457,7 +492,7 @@ def test_a_frame_sent_one_byte_at_a_time_is_reassembled():
 def test_an_oversized_header_is_refused_before_any_body_byte_is_read():
     fake = FakeSocket(struct.pack(">I", MAX_FRAME + 1) + b"body", step=4)
     with pytest.raises(TransportError, match="oversized"):
-        PlainChannel(fake).recv_message()
+        Channel(fake).recv_message()
     assert fake.recvs == 1 and fake.data == b"body"
 
 
@@ -467,17 +502,17 @@ def test_eof_mid_frame_in_a_channel(sent):
     a.sendall(sent)
     a.close()
     with pytest.raises(TransportError):
-        PlainChannel(b).recv_message()
+        Channel(b).recv_message()
 
 
 def test_a_megabyte_frame_round_trips_sealed():
     client, server = make_sessions()
     a, b = spair()
     body = os.urandom(1 << 20)
-    sender = threading.Thread(target=SealedChannel(a, client).send_message, args=(body,))
+    sender = threading.Thread(target=Channel(a, client).send_message, args=(body,))
     sender.start()
     try:
-        assert SealedChannel(b, server).recv_message() == body
+        assert Channel(b, server).recv_message() == body
     finally:
         sender.join(10)
     assert not sender.is_alive()
@@ -558,7 +593,7 @@ def test_finish_and_first_request_in_one_write_are_both_served():
         raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
         held = HoldFinish(raw)
         session = handshake_client(
-            held,
+            Channel(held),
             client_name="Alice",
             signing_key=ALICE_KEY,
             expected_measurement=MEASUREMENT,
@@ -566,7 +601,7 @@ def test_finish_and_first_request_in_one_write_are_both_served():
         )
         assert held.held
         raw.sendall(held.held + frame(session.seal(encode_call(5, []))))
-        ch = SealedChannel(raw, session)
+        ch = Channel(raw, session)
         assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(5))
         ch.close()
     finally:
@@ -594,7 +629,7 @@ def test_monitor_survives_garbage_then_serves(garbage):
     try:
         raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
         send_frame(raw, garbage)
-        assert decode_message(recv_frame(raw)) == ResultErr(
+        assert decode_message(Channel(raw).recv_frame()) == ResultErr(
             ErrorCode.DECODE_ERROR, "malformed hello"
         )
         raw.close()
@@ -707,7 +742,7 @@ def test_low_order_share_is_refused_and_the_monitor_serves_on(share, verify_clie
     try:
         raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
         send_frame(raw, signed_hello(share, key=ALICE_KEY if verify_client else None))
-        assert decode_message(recv_frame(raw)) == ResultErr(
+        assert decode_message(Channel(raw).recv_frame()) == ResultErr(
             ErrorCode.AUTH_FAILURE, "client key share refused"
         )
         raw.close()
@@ -723,7 +758,7 @@ def test_handshake_client_refuses_a_low_order_enclave_share():
     c, s = spair()
 
     def fake_enclave():
-        hello = recv_frame(s)
+        hello = Channel(s).recv_frame()
         nonce, share = hello[1:33], bytes(32)
         report_data = hashlib.sha256(share + nonce).digest()
         quote = AUTHORITY.sign(MEASUREMENT + report_data)
@@ -733,7 +768,7 @@ def test_handshake_client_refuses_a_low_order_enclave_share():
     t.start()
     with pytest.raises(AttestationFailure) as exc:
         handshake_client(
-            c,
+            Channel(c),
             client_name="Alice",
             signing_key=ALICE_KEY,
             expected_measurement=MEASUREMENT,
@@ -808,7 +843,7 @@ def test_no_hostile_hello_stops_the_monitor(monkeypatch):
         raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
         try:
             send_frame(raw, hello)
-            recv_frame(raw)  # a refusal or a quote: the monitor answers either way
+            Channel(raw).recv_frame()  # a refusal or a quote: the monitor answers either way
             if finish is not None:
                 send_frame(raw, b"\x12" + finish)
         except (TransportError, OSError):
@@ -853,13 +888,22 @@ def test_monitor_plain_mode():
     mon, t = start_monitor(attested=False, authority_private=None)
     try:
         ch = connect_channel("127.0.0.1", mon.port, attested=False)
-        assert isinstance(ch, PlainChannel)
+        assert ch.session is None
         ch.send_message(encode_call(9, []))
         assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(9))
         ch.close()
     finally:
         mon.stop()
         t.join()
+
+
+def test_an_attested_connect_without_the_authority_key_opens_no_socket(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr("enclaveflow.attest.socket.create_connection", refuse)
+    with pytest.raises(ValueError, match="authority public key"):
+        connect_channel("127.0.0.1", 1, client_name="Alice", signing_key=ALICE_KEY)
 
 
 # --- key files ------------------------------------------------------------------------
@@ -931,7 +975,8 @@ def test_client_finish_is_the_stdlib_hmac_of_the_transcript():
     slot: dict = {}
 
     def fake_enclave():
-        hello = recv_frame(s)
+        frames = Channel(s)
+        hello = frames.recv_frame()
         nonce, share = hello[1:33], hello[-96:-64]
         eph = X25519PrivateKey.generate()
         eph_pub = eph.public_key().public_bytes_raw()
@@ -941,12 +986,12 @@ def test_client_finish_is_the_stdlib_hmac_of_the_transcript():
         send_frame(s, attest)
         slot["shared"] = eph.exchange(X25519PublicKey.from_public_bytes(share))
         slot["transcript"] = hashlib.sha256(hello + attest).digest()
-        slot["finish"] = recv_frame(s)
+        slot["finish"] = frames.recv_frame()
 
     t = threading.Thread(target=fake_enclave)
     t.start()
     session = handshake_client(
-        c,
+        Channel(c),
         client_name="Alice",
         signing_key=ALICE_KEY,
         expected_measurement=MEASUREMENT,
@@ -973,7 +1018,8 @@ def test_a_finish_with_one_flipped_mac_bit_is_refused(bit):
     eph = X25519PrivateKey.generate()
     hello = signed_hello(eph.public_key().public_bytes_raw())
     send_frame(c, hello)
-    attest = recv_frame(c)
+    frames = Channel(c)
+    attest = frames.recv_frame()
     shared = eph.exchange(X25519PublicKey.from_public_bytes(attest[1:33]))
     transcript = hashlib.sha256(hello + attest).digest()
     fin = hkdf(shared, transcript, b"fin")
@@ -986,7 +1032,7 @@ def test_a_finish_with_one_flipped_mac_bit_is_refused(bit):
         assert slot["session"].send_key == hkdf(shared, transcript, b"s2c")
         assert slot["name"] == "Alice"
     else:
-        assert decode_message(recv_frame(c)) == ResultErr(
+        assert decode_message(frames.recv_frame()) == ResultErr(
             ErrorCode.AUTH_FAILURE, "key confirmation failed"
         )
         slot["thread"].join(5)

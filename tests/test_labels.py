@@ -644,12 +644,22 @@ def singleton_clauses(n: int) -> CNF:
     return CNF(frozenset(Clause(frozenset({Principal(f"p{i:04}")})) for i in range(n)))
 
 
+def singleton_clauses_encoded(n: int) -> bytes:
+    """``singleton_clauses(n)`` encoded by hand, since the encoder refuses
+    more than LABEL_MAX_CLAUSES: a u16 count, then the sorted clauses."""
+    clauses = sorted(b"\x00\x01\x00\x05" + f"p{i:04}".encode() for i in range(n))
+    return n.to_bytes(2, "big") + b"".join(clauses)
+
+
 def test_a_cnf_over_the_clause_bound_is_refused_before_it_is_built():
     at_bound = DCLabel(singleton_clauses(LABEL_MAX_CLAUSES), CNF_TRUE)
     raw = encode_label(at_bound)
+    assert raw == singleton_clauses_encoded(LABEL_MAX_CLAUSES) + b"\x00\x00"
     assert decode_label(raw) == uncached_parse(raw) == at_bound
     for n in (LABEL_MAX_CLAUSES + 1, 4000):
-        raw = encode_label(DCLabel(singleton_clauses(n), CNF_TRUE))
+        raw = singleton_clauses_encoded(n) + b"\x00\x00"  # then CNF_TRUE: no clauses
+        with pytest.raises(LabelError, match="more than"):
+            encode_label(DCLabel(CNF_TRUE, singleton_clauses(n)))
         with pytest.raises(LabelError, match="more than"):
             decode_label(raw)
         with pytest.raises(LabelError, match="more than"):
