@@ -12,7 +12,6 @@ attestation monitor; clients reach it through gateway calls on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .attest import compute_measurement
@@ -23,6 +22,7 @@ from .errors import (
     IfcViolation,
     LabelError,
     NotReady,
+    Record,
     RemoteError,
     StagingError,
     UsageError,
@@ -62,14 +62,16 @@ _ERROR_RESPONSES = {
 }
 
 
-@dataclass(frozen=True)
-class SecureRef:
+class SecureRef(Record):
     """Client-side handle to a registered enclave function: the call id,
     the declared arity, and arguments collected so far (already encoded)."""
 
-    call_id: int
-    arity: int
-    args: tuple[bytes, ...] = ()
+    __slots__ = ("call_id", "arity", "args")
+
+    def __init__(self, call_id: int, arity: int, args: tuple[bytes, ...] = ()) -> None:
+        object.__setattr__(self, "call_id", call_id)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "args", args)
 
     def apply(self, v: Value) -> "SecureRef":
         """Collect the next argument (left to right)."""
@@ -92,13 +94,22 @@ class EnclaveStub:
         raise UsageError(f"{self._what} is enclave-resident; not available in this role")
 
 
-@dataclass
 class _FnEntry:
-    call_id: int
-    name: str
-    arg_types: tuple
-    template: IfcContext
-    fn: Callable | None  # None in client roles: the stub knows only the id
+    __slots__ = ("call_id", "name", "arg_types", "template", "fn")
+
+    def __init__(
+        self,
+        call_id: int,
+        name: str,
+        arg_types: tuple,
+        template: IfcContext,
+        fn: Callable | None,  # None in client roles: the stub knows only the id
+    ) -> None:
+        self.call_id = call_id
+        self.name = name
+        self.arg_types = arg_types
+        self.template = template
+        self.fn = fn
 
 
 def _type_ok(v: Value, spec: Any) -> bool:
@@ -229,8 +240,9 @@ class App:
     def dispatch(self, request: bytes) -> bytes:
         """One CALL in, one RESULT out.  Runs the function in a fresh
         context cloned from its registration template and consults the
-        output gate before any result or error of the function leaves.
-        Error responses never carry application data."""
+        output gate before any result or error of the function leaves; a
+        result passes only if every label it carries flows to the output
+        label too.  Error responses never carry application data."""
         if self.role != ENCLAVE_ROLE:
             raise UsageError("dispatch is enclave-side only")
         try:
@@ -263,7 +275,7 @@ class App:
             if not ctx.output_gate():
                 return _IFC_VIOLATION_RESPONSE
             return next(_ERROR_RESPONSES[t] for t in type(e).__mro__ if t in _ERROR_RESPONSES)
-        if not ctx.output_gate():
+        if not ctx.output_gate(result):
             return _IFC_VIOLATION_RESPONSE
         try:
             return encode_result_ok(result)

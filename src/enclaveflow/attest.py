@@ -16,7 +16,6 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -200,22 +199,27 @@ _NONCE = struct.Struct(">4xQ")
 _RECORD_TAG = bytes([MSG_RECORD])
 
 
-@dataclass
 class Session:
     """AEAD state for one direction-keyed connection.  Sequence counters
     are implicit nonces: both ends count, so a replayed or dropped record
     shows up as an authentication failure."""
 
-    session_id: bytes
-    send_key: bytes
-    recv_key: bytes
-    send_seq: int = 0
-    recv_seq: int = 0
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        session_id: bytes,
+        send_key: bytes,
+        recv_key: bytes,
+        send_seq: int = 0,
+        recv_seq: int = 0,
+    ) -> None:
+        self.session_id = session_id
+        self.send_key = send_key
+        self.recv_key = recv_key
+        self.send_seq = send_seq
+        self.recv_seq = recv_seq
         # the keys are fixed for the session: key each direction's AEAD once
-        self._send_aead = ChaCha20Poly1305(self.send_key)
-        self._recv_aead = ChaCha20Poly1305(self.recv_key)
+        self._send_aead = ChaCha20Poly1305(send_key)
+        self._recv_aead = ChaCha20Poly1305(recv_key)
 
     def seal(self, plaintext: bytes) -> bytes:
         ct = self._send_aead.encrypt(_NONCE.pack(self.send_seq), plaintext, None)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -28,7 +27,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .app import App
-from .errors import CryptoError, DecodeError, NotReady, UsageError
+from .errors import CryptoError, DecodeError, NotReady, Record, UsageError
 from .ifc import IfcContext, make_labeled
 from .labels import (
     DC_PUBLIC,
@@ -58,20 +57,20 @@ __all__ = [
 MAX_AGE = 150
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     """One patient record: which strain, how old."""
 
-    strain: str
-    age: int
+    __slots__ = ("strain", "age")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.strain, str) or not self.strain:
+    def __init__(self, strain: str, age: int) -> None:
+        if not isinstance(strain, str) or not strain:
             raise UsageError("strain must be a non-empty string")
-        if not isinstance(self.age, int) or isinstance(self.age, bool):
+        if not isinstance(age, int) or isinstance(age, bool):
             raise UsageError("age must be an integer")
-        if not 0 <= self.age <= MAX_AGE:
+        if not 0 <= age <= MAX_AGE:
             raise UsageError(f"age must be in 0..{MAX_AGE}")
+        object.__setattr__(self, "strain", strain)
+        object.__setattr__(self, "age", age)
 
 
 def row_to_value(row: Row) -> list:
@@ -165,20 +164,31 @@ def decrypt_result(private_key: X25519PrivateKey, envelope: bytes) -> bytes:
 # --- the application ------------------------------------------------------------------
 
 
-@dataclass
 class CleanRoomConfig:
     """Everything role-dependent: key material for the role being played,
     data files for providers, an output sink for the consumer."""
 
-    provider_a: str = "P1"
-    provider_b: str = "P2"
-    consumer: str = "C1"
-    thresholds: dict[str, int] = field(default_factory=dict)  # rows required per provider
-    consumer_public: X25519PublicKey | None = None  # enclave role
-    consumer_private: X25519PrivateKey | None = None  # consumer role
-    data_files: dict[str, str] = field(default_factory=dict)  # provider role(s)
-    out: TextIO | None = None  # consumer output; defaults to stdout
-    on_result: Callable[[list[tuple[str, float]]], None] | None = None
+    def __init__(
+        self,
+        provider_a: str = "P1",
+        provider_b: str = "P2",
+        consumer: str = "C1",
+        thresholds: dict[str, int] | None = None,  # rows required per provider
+        consumer_public: X25519PublicKey | None = None,  # enclave role
+        consumer_private: X25519PrivateKey | None = None,  # consumer role
+        data_files: dict[str, str] | None = None,  # provider role(s)
+        out: TextIO | None = None,  # consumer output; defaults to stdout
+        on_result: Callable[[list[tuple[str, float]]], None] | None = None,
+    ) -> None:
+        self.provider_a = provider_a
+        self.provider_b = provider_b
+        self.consumer = consumer
+        self.thresholds = {} if thresholds is None else thresholds
+        self.consumer_public = consumer_public
+        self.consumer_private = consumer_private
+        self.data_files = {} if data_files is None else data_files
+        self.out = out
+        self.on_result = on_result
 
 
 def load_rows_csv(path: str | Path) -> list[Row]:

@@ -23,7 +23,6 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
@@ -77,34 +76,58 @@ EXIT_TRANSPORT = 6
 # --- run configuration ------------------------------------------------------------
 
 
-@dataclass
 class RunConfig:
     """Everything a run needs, merged from the JSON config file and flags.
 
     Key entries are file paths; each role loads only the files it needs,
-    so one config can be shared by every party of a demo.
+    so one config can be shared by every party of a demo.  Every field is
+    an instance attribute set in ``__init__``, so ``vars`` of a config is
+    its fields; a ``None`` dict or list field gets a fresh default.
     """
 
-    app: str = "password-checker"
-    host: str = "127.0.0.1"
-    port: int = 7000
-    code_version: str = ""
-    authority_private: str = ""
-    authority_public: str = ""
-    client_keys: dict[str, str] = field(default_factory=dict)  # name -> public key path
-    signing_keys: dict[str, str] = field(default_factory=dict)  # name -> private key path
-    expected_measurement: str = ""  # hex; computed from the staged program when empty
-    providers: list[str] = field(default_factory=lambda: ["P1", "P2"])
-    consumer: str = "C1"
-    thresholds: dict[str, int] = field(default_factory=dict)
-    data_files: dict[str, str] = field(default_factory=dict)
-    consumer_public_key: str = ""
-    consumer_private_key: str = ""
-    password: str = "password"
-    ifc: bool = True
-    attestation: bool = True
-    client_sig: bool = True
-    per_call_handshake: bool = False
+    def __init__(
+        self,
+        app: str = "password-checker",
+        host: str = "127.0.0.1",
+        port: int = 7000,
+        code_version: str = "",
+        authority_private: str = "",
+        authority_public: str = "",
+        client_keys: dict[str, str] | None = None,  # name -> public key path
+        signing_keys: dict[str, str] | None = None,  # name -> private key path
+        expected_measurement: str = "",  # hex; computed from the staged program when empty
+        providers: list[str] | None = None,  # default ["P1", "P2"]
+        consumer: str = "C1",
+        thresholds: dict[str, int] | None = None,
+        data_files: dict[str, str] | None = None,
+        consumer_public_key: str = "",
+        consumer_private_key: str = "",
+        password: str = "password",
+        ifc: bool = True,
+        attestation: bool = True,
+        client_sig: bool = True,
+        per_call_handshake: bool = False,
+    ) -> None:
+        self.app = app
+        self.host = host
+        self.port = port
+        self.code_version = code_version
+        self.authority_private = authority_private
+        self.authority_public = authority_public
+        self.client_keys = {} if client_keys is None else client_keys
+        self.signing_keys = {} if signing_keys is None else signing_keys
+        self.expected_measurement = expected_measurement
+        self.providers = ["P1", "P2"] if providers is None else providers
+        self.consumer = consumer
+        self.thresholds = {} if thresholds is None else thresholds
+        self.data_files = {} if data_files is None else data_files
+        self.consumer_public_key = consumer_public_key
+        self.consumer_private_key = consumer_private_key
+        self.password = password
+        self.ifc = ifc
+        self.attestation = attestation
+        self.client_sig = client_sig
+        self.per_call_handshake = per_call_handshake
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -114,7 +137,7 @@ class RunConfig:
             raise UsageError(f"cannot read config {path}: {e}") from e
         if not isinstance(raw, dict):
             raise UsageError(f"{path}: config must be a JSON object")
-        known = {f.name for f in fields(cls)}
+        known = vars(cls()).keys()
         unknown = set(raw) - known
         if unknown:
             raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -488,7 +511,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return elapsed_ms, raw
 
     rows = [
-        replace(cfg, attestation=attested, client_sig=client_sig, ifc=ifc)
+        RunConfig(**{**vars(cfg), "attestation": attested, "client_sig": client_sig, "ifc": ifc})
         for _, attested, client_sig, ifc in BENCH_CONFIGS
     ]
     with _inprocess_enclaves(rows) as served:

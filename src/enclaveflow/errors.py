@@ -1,8 +1,53 @@
-"""Exception hierarchy and wire-level error codes."""
+"""Exception hierarchy, wire-level error codes, and the immutable record
+base every value type of the package builds on."""
 
 from __future__ import annotations
 
 from enum import IntEnum
+from operator import attrgetter
+
+
+class Record:
+    """An immutable value with named fields, written out by hand so that
+    importing the package generates no code.  The fields are the
+    subclass's ``__slots__`` that do not start with ``_``, in order; its
+    ``__init__`` takes them in that order and sets each through
+    ``object.__setattr__``.  Records compare and hash field by field, only
+    within one class; they repr as ``Name(field=value, ...)`` and pickle
+    through their constructor; any assignment after ``__init__`` raises
+    ``AttributeError``.  A class whose comparisons are hot, such as the
+    label types, writes its own ``__eq__`` and ``__hash__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _key: attrgetter  # one field's value, or a tuple of the fields' values
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            # in a tuple, a field equals itself even when it is NaN
+            return (self._key(self),) == (other._key(other),)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        parts = (f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({', '.join(parts)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ErrorCode(IntEnum):

@@ -9,8 +9,6 @@ deliberately carries no detail — error responses must not leak.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import IfcViolation
 from .labels import (
     DC_PUBLIC,
@@ -53,7 +51,6 @@ def make_labeled(label: DCLabel, v: Value) -> LabeledValue:
     return LabeledValue(label, _copy_value(v))
 
 
-@dataclass
 class LabeledRef:
     """A mutable cell with a label fixed at allocation, holding a wire
     value (as LIO's ``LIORef`` holds its value).  Values are copied in and
@@ -61,14 +58,13 @@ class LabeledRef:
     the cell is a list is fixed at allocation (``write_ref`` keeps it), so
     ``append_ref`` reveals only what the allocator chose."""
 
-    label: DCLabel
-    cell: Value
+    __slots__ = ("label", "cell")
 
-    def __post_init__(self) -> None:
-        self.cell = _copy_value(self.cell)
+    def __init__(self, label: DCLabel, cell: Value) -> None:
+        self.label = label
+        self.cell = _copy_value(cell)
 
 
-@dataclass
 class IfcContext:
     """Per-call IFC state: ⟨current, clearance, output, privilege⟩.
 
@@ -76,20 +72,26 @@ class IfcContext:
     label bookkeeping, so benchmarks can price the checks themselves.
     """
 
-    privilege: Privilege
-    current: DCLabel = field(default=DC_PUBLIC)
-    clearance: DCLabel = field(default=DC_TOP)
-    output: DCLabel = field(default=DC_PUBLIC)
-    enforce: bool = True
+    __slots__ = ("privilege", "current", "clearance", "output", "enforce")
+
+    def __init__(
+        self,
+        privilege: Privilege,
+        current: DCLabel = DC_PUBLIC,
+        clearance: DCLabel = DC_TOP,
+        output: DCLabel = DC_PUBLIC,
+        enforce: bool = True,
+    ) -> None:
+        self.privilege = privilege
+        self.current = current
+        self.clearance = clearance
+        self.output = output
+        self.enforce = enforce
 
     def clone(self) -> "IfcContext":
         """A fresh context for one call, sharing no mutable state."""
         return IfcContext(
-            privilege=self.privilege,
-            current=self.current,
-            clearance=self.clearance,
-            output=self.output,
-            enforce=self.enforce,
+            self.privilege, self.current, self.clearance, self.output, self.enforce
         )
 
     # --- guards ------------------------------------------------------------
@@ -162,8 +164,25 @@ class IfcContext:
 
     # --- the output gate ---------------------------------------------------------
 
-    def output_gate(self) -> bool:
-        """May results flow from this context to the client channel?"""
+    def output_gate(self, result: Value = None) -> bool:
+        """May ``result`` flow from this context to the client channel?  The
+        context's label must flow to the output label, and so must the label
+        of every ``LabeledValue`` in the result, in lists and in other
+        labeled values: a labeled value leaves in plaintext inside its
+        envelope, and returning one unopened never taints the context."""
         if not self.enforce:
             return True
-        return can_flow_to(self.current, self.output)
+        if not can_flow_to(self.current, self.output):
+            return False
+        return not isinstance(result, (list, LabeledValue)) or _labels_flow_to(
+            result, self.output
+        )
+
+
+def _labels_flow_to(v: Value, l: DCLabel) -> bool:
+    """Does the label of every ``LabeledValue`` within ``v`` flow to ``l``?"""
+    if isinstance(v, LabeledValue):
+        return can_flow_to(v.label, l) and _labels_flow_to(v.value, l)
+    if isinstance(v, list):
+        return all(_labels_flow_to(item, l) for item in v)
+    return True

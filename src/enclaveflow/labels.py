@@ -12,8 +12,8 @@ value, safe to share across threads, so ``can_flow_to``, ``join``,
 ``downgrade`` and ``encode_label`` are memoized on their arguments in
 bounded caches of ``LABEL_CACHE_SIZE`` entries each.  ``DCLabel`` and
 ``Privilege`` compute their hash once, when built, so a cache lookup costs
-a hash read per argument rather than a walk over nested dataclasses, and
-a warm ``can_flow_to`` runs no implication check at all.
+a hash read per argument rather than a walk over their CNFs, and a warm
+``can_flow_to`` runs no implication check at all.
 
 Labels are hash-consed where they cross the wire: ``read_label`` maps the
 exact bytes of an encoding of at most ``LABEL_INTERN_MAX`` bytes, through
@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import LabelError
+from .errors import LabelError, Record
 
 __all__ = [
     "Principal",
@@ -73,28 +72,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Principal:
+class Principal(Record):
     """A named party.  Prototype representation is a plain string; the
     codec length-prefixes names so key-hash principals drop in later."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        if not name:
             raise LabelError("principal name must be non-empty")
-        if "\x00" in self.name:
+        if "\x00" in name:
             raise LabelError("principal name must not contain NUL")
+        object.__setattr__(self, "name", name)
+
+    # The label types write out equality and hashing: every set of
+    # principals or clauses, and every lattice cache, runs them.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     """One disjunctive category: any of these principals satisfies it."""
 
-    principals: frozenset[Principal]
+    __slots__ = ("principals",)
+
+    def __init__(self, principals: frozenset[Principal]) -> None:
+        object.__setattr__(self, "principals", principals)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.principals == other.principals
+
+    def __hash__(self) -> int:
+        return hash(self.principals)
 
     def sorted_names(self) -> list[str]:
         return sorted((p.name for p in self.principals), key=lambda n: n.encode("utf-8"))
@@ -103,11 +122,21 @@ class Clause:
         return "{" + ",".join(self.sorted_names()) + "}"
 
 
-@dataclass(frozen=True)
-class CNF:
+class CNF(Record):
     """A conjunction of clauses.  Canonical once reduced to an antichain."""
 
-    clauses: frozenset[Clause]
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: frozenset[Clause]) -> None:
+        object.__setattr__(self, "clauses", clauses)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.clauses == other.clauses
+
+    def __hash__(self) -> int:
+        return hash(self.clauses)
 
     def is_true(self) -> bool:
         return not self.clauses
@@ -195,18 +224,28 @@ def cnf_implies(a: CNF, b: CNF) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class DCLabel:
+class DCLabel(Record):
     """A ⟨secrecy, integrity⟩ pair of canonical CNFs.  Its hash is computed
     once, at construction: every memoized lattice operation hashes its
     labels.  String hashes are salted per process, so pickling rebuilds the
     label from its CNFs instead of carrying the hash along."""
 
-    secrecy: CNF
-    integrity: CNF
+    __slots__ = ("secrecy", "integrity", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.secrecy, self.integrity)))
+    def __init__(self, secrecy: CNF, integrity: CNF) -> None:
+        object.__setattr__(self, "secrecy", secrecy)
+        object.__setattr__(self, "integrity", integrity)
+        object.__setattr__(self, "_hash", hash((secrecy, integrity)))
+
+    # unequal hashes answer at once: a lattice cache compares a label with
+    # the equal one that another join built
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and (self.secrecy, self.integrity) == (
+            other.secrecy,
+            other.integrity,
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -223,16 +262,16 @@ DC_BOTTOM = DCLabel(CNF_TRUE, CNF_FALSE)
 DC_TOP = DCLabel(CNF_FALSE, CNF_TRUE)
 
 
-@dataclass(frozen=True)
-class Privilege:
+class Privilege(Record):
     """A CNF whose clauses the holder may speak for.  The empty privilege
     is True and relaxes nothing.  Its hash is cached and never pickled, as
     ``DCLabel``'s is."""
 
-    description: CNF
+    __slots__ = ("description", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.description))
+    def __init__(self, description: CNF) -> None:
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "_hash", hash(description))
 
     def __hash__(self) -> int:
         return self._hash
@@ -306,8 +345,7 @@ def downgrade(p: Privilege, l: DCLabel) -> DCLabel:
     )
 
 
-@dataclass(frozen=True)
-class LabeledValue:
+class LabeledValue(Record):
     """A label attached to a wire value, as LIO's ``Labeled l a`` holds an
     ``a``.  Build one with ``ifc.make_labeled`` and open it with
     ``IfcContext.unlabel``, which copy the value in and out.  Equality is
@@ -315,8 +353,11 @@ class LabeledValue:
     NaN unless both are one float object.  Holding a list makes it
     unhashable."""
 
-    label: DCLabel
-    value: object
+    __slots__ = ("label", "value")
+
+    def __init__(self, label: DCLabel, value: object) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "value", value)
 
 
 # --- wire encoding ---------------------------------------------------------

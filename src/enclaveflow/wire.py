@@ -9,10 +9,9 @@ tags, truncation, range violations, or leftover bytes all raise
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import DecodeError, ErrorCode, LabelError
+from .errors import DecodeError, ErrorCode, LabelError, Record
 from .labels import LabeledValue, encode_label, read_label
 
 __all__ = [
@@ -171,21 +170,27 @@ def decode_value(b: bytes) -> Value:
 # --- messages ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CallMessage:
-    call_id: int
-    args: list
+class CallMessage(Record):
+    __slots__ = ("call_id", "args")
+
+    def __init__(self, call_id: int, args: list) -> None:
+        object.__setattr__(self, "call_id", call_id)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class ResultOk:
-    value: Value
+class ResultOk(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value) -> None:
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ResultErr:
-    code: ErrorCode
-    message: str
+class ResultErr(Record):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: ErrorCode, message: str) -> None:
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
 
 Message = Union[CallMessage, ResultOk, ResultErr]

@@ -31,6 +31,7 @@ from enclaveflow.ifc import IfcContext, LabeledRef
 from enclaveflow.labels import (
     CNF,
     CNF_TRUE,
+    DC_PUBLIC,
     Clause,
     DCLabel,
     EMPTY_PRIVILEGE,
@@ -341,10 +342,12 @@ def test_dispatch_fresh_context_per_call():
 
 
 def test_dispatch_labeled_result_keeps_label():
+    # the result's label flows to this function's output label, so it leaves
     def seal(ctx, v):
         return ctx.label(ALICE, v)
 
-    app = enclave_app(lambda a: a.enclave_fn(PLAIN, seal, (int,)))
+    template = IfcContext(EMPTY_PRIVILEGE, output=ALICE)
+    app = enclave_app(lambda a: a.enclave_fn(template, seal, (int,)))
     reply = decode_message(app.dispatch(encode_call(0, [5])))
     assert isinstance(reply, ResultOk)
     assert isinstance(reply.value, LabeledValue) and reply.value.label == ALICE
@@ -408,6 +411,52 @@ def test_dispatch_errors_unenforced_keep_their_answers(raised, code, message):
     app = probe_program(raised, ifc_enforce=False)
     assert decode_message(app.dispatch(encode_call(0, [0, "s"]))) == ResultErr(code, message)
     assert decode_message(app.dispatch(encode_call(0, [0, "x"]))) == ResultOk(None)
+
+
+def returning_program(make_result, label: DCLabel = SVC, **app_kwargs) -> App:
+    """A function with no privilege that returns what ``make_result`` builds
+    from an svc-labeled constant and a public ref holding it, unopened."""
+    app = App(ENCLAVE_ROLE, **app_kwargs)
+    stored = app.labeled_constant(label, "hunter2")
+    table = app.labeled_ref(DC_PUBLIC, [stored])
+
+    def give(ctx: IfcContext):
+        return make_result(ctx, stored, table)
+
+    app.enclave_fn(PLAIN, give, (), name="give")
+    app.freeze()
+    return app
+
+
+LEAKS = {
+    "bare": lambda ctx, c, table: c,
+    "in a list": lambda ctx, c, table: [c, 1],
+    "deep in lists": lambda ctx, c, table: [[], [0, [c]]],
+    "in a labeled value": lambda ctx, c, table: ctx.label(DC_PUBLIC, [c]),
+    "read from a public ref": lambda ctx, c, table: ctx.read_ref(table),
+}
+
+
+@pytest.mark.parametrize("leak", list(LEAKS))
+def test_a_returned_labeled_value_obeys_the_output_gate(leak):
+    app = returning_program(LEAKS[leak])
+    assert decode_message(app.dispatch(encode_call(0, []))) == IFC_VIOLATION
+
+
+@pytest.mark.parametrize("leak", list(LEAKS))
+def test_a_returned_labeled_value_leaves_with_ifc_off(leak):
+    app = returning_program(LEAKS[leak], ifc_enforce=False)
+    reply = decode_message(app.dispatch(encode_call(0, [])))
+    assert isinstance(reply, ResultOk)
+    assert "hunter2" in repr(reply)
+
+
+def test_a_result_label_that_flows_to_the_output_leaves():
+    # ⟨True, svc⟩: no secrecy, so it flows to a public output whatever it vouches for
+    vouched = DCLabel(CNF_TRUE, cnf_from_principal("svc"))
+    app = returning_program(lambda ctx, c, table: [c, ctx.label(DC_PUBLIC, 1)], label=vouched)
+    reply = decode_message(app.dispatch(encode_call(0, [])))
+    assert reply == ResultOk([LabeledValue(vouched, "hunter2"), LabeledValue(DC_PUBLIC, 1)])
 
 
 def test_ref_shape_tells_a_public_appender_nothing():

@@ -443,6 +443,8 @@ NOT_IN_ANY_ENCLAVE = {
     "hmac",
     "statistics",
     "cryptography.hazmat.primitives.serialization",
+    "dataclasses",
+    "inspect",
 }
 
 STAGE_ONLY = """
