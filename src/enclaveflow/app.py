@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from .attest import compute_measurement
+from .attest import MAX_MESSAGE, compute_measurement
 from .errors import (
     IFC_VIOLATION_MESSAGE,
     DecodeError,
@@ -69,9 +69,9 @@ class SecureRef(Record):
     __slots__ = ("call_id", "arity", "args")
 
     def __init__(self, call_id: int, arity: int, args: tuple[bytes, ...] = ()) -> None:
-        object.__setattr__(self, "call_id", call_id)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "args", args)
+        _set_ref_call_id(self, call_id)
+        _set_ref_arity(self, arity)
+        _set_ref_args(self, args)
 
     def apply(self, v: Value) -> "SecureRef":
         """Collect the next argument (left to right)."""
@@ -80,6 +80,12 @@ class SecureRef(Record):
                 f"function takes {self.arity} argument(s); all already applied"
             )
         return SecureRef(self.call_id, self.arity, self.args + (encode_value(v),))
+
+
+# built on every apply: set through the slots' own setters, as wire's messages are
+_set_ref_call_id = SecureRef.call_id.__set__
+_set_ref_arity = SecureRef.arity.__set__
+_set_ref_args = SecureRef.args.__set__
 
 
 class EnclaveStub:
@@ -242,7 +248,9 @@ class App:
         context cloned from its registration template and consults the
         output gate before any result or error of the function leaves; a
         result passes only if every label it carries flows to the output
-        label too.  Error responses never carry application data."""
+        label too.  Error responses never carry application data.  A
+        result the caller could not take (not a wire value, nested too
+        deep, or too long to seal into one frame) is an internal error."""
         if self.role != ENCLAVE_ROLE:
             raise UsageError("dispatch is enclave-side only")
         try:
@@ -266,8 +274,8 @@ class App:
                 return encode_result_err(
                     ErrorCode.DECODE_ERROR, f"argument type mismatch in {entry.name}"
                 )
-        ctx = entry.template.clone()
-        ctx.enforce = self.ifc_enforce
+        tpl = entry.template
+        ctx = IfcContext(tpl.privilege, tpl.current, tpl.clearance, tpl.output, self.ifc_enforce)
         assert entry.fn is not None
         try:
             result = entry.fn(ctx, *msg.args)
@@ -275,11 +283,11 @@ class App:
             if not ctx.output_gate():
                 return _IFC_VIOLATION_RESPONSE
             return next(_ERROR_RESPONSES[t] for t in type(e).__mro__ if t in _ERROR_RESPONSES)
-        if not ctx.output_gate(result):
-            return _IFC_VIOLATION_RESPONSE
         try:
-            return encode_result_ok(result)
-        except (TypeError, OverflowError, LabelError):
+            if not ctx.output_gate(result):
+                return _IFC_VIOLATION_RESPONSE
+            return encode_result_ok(result, MAX_MESSAGE)
+        except (TypeError, ValueError, OverflowError, LabelError):
             return _ERROR_RESPONSES[Exception]
 
     # --- client side: the gateway ------------------------------------------------
@@ -314,7 +322,7 @@ class App:
 
     @staticmethod
     def _exchange(channel, s: SecureRef) -> Value:
-        channel.send_message(encode_call_raw(s.call_id, list(s.args)))
+        channel.send_message(encode_call_raw(s.call_id, s.args))
         reply = decode_message(channel.recv_message())
         if isinstance(reply, ResultOk):
             return reply.value

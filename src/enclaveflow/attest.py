@@ -54,6 +54,7 @@ __all__ = [
     "MSG_CLIENT_FINISH",
     "MSG_RECORD",
     "MAX_FRAME",
+    "MAX_MESSAGE",
     "HANDSHAKE_DEADLINE_S",
     "IDLE_TIMEOUT_S",
     "send_frame",
@@ -81,6 +82,9 @@ MSG_CLIENT_FINISH = 0x12
 MSG_RECORD = 0x13
 
 MAX_FRAME = 1 << 24  # 16 MiB; anything bigger is hostile at this scale
+# the longest message that still fits one frame once sealed: a record adds
+# its tag byte and the 16-byte Poly1305 tag
+MAX_MESSAGE = MAX_FRAME - 1 - 16
 # handshake_server's whole budget, across all of its reads: a peer that
 # trickles its hello cannot hold the one-at-a-time monitor for longer
 HANDSHAKE_DEADLINE_S = 5.0
@@ -91,15 +95,48 @@ _U32 = struct.Struct(">I")
 # a channel's read size: a warm call's whole frame, header and body, in one recv
 _RECV_CHUNK = 4096
 _ZERO_SIG = bytes(64)
+# Linux's struct timeval, the value of SO_RCVTIMEO and SO_SNDTIMEO
+_TIMEVAL = struct.Struct("@ll")
+
+
+# --- kernel-enforced timeouts -------------------------------------------------------
+# A socket with a Python-level timeout is non-blocking underneath, and
+# CPython runs poll() before every recv and send on it.  A channel's socket
+# stays blocking instead, and the kernel enforces its timeouts: one syscall
+# per socket operation.  A timeout then surfaces as EAGAIN, which the
+# channel raises as TimeoutError, as a Python-level timeout would.
+
+
+def _timeval(seconds: float | None) -> bytes:
+    """The timeval for a timeout of ``seconds``; None waits forever.  A
+    positive time never becomes 0 s 0 µs, which the kernel reads as
+    "wait forever": it rounds up to at least 1 µs."""
+    if seconds is None:
+        return _TIMEVAL.pack(0, 0)
+    if not seconds > 0:
+        raise ValueError(f"socket timeout must be positive, got {seconds!r}")
+    return _TIMEVAL.pack(*divmod(max(1, int(seconds * 1_000_000)), 1_000_000))
+
+
+def _set_timeout(sock: socket.socket, option: int, seconds: float | None) -> None:
+    """Set ``SO_RCVTIMEO`` or ``SO_SNDTIMEO`` on a blocking socket."""
+    sock.setsockopt(socket.SOL_SOCKET, option, _timeval(seconds))
 
 
 # --- framing -----------------------------------------------------------------
 
 
 def send_frame(sock: socket.socket, body: bytes) -> None:
+    """One plain frame through ``sendall``.  The handshake sends its few
+    small frames this way; each is among the first bytes its side sends,
+    so no send can wait on a full peer buffer, and the kernel's bound on
+    each ``send`` bounds the whole frame.  Records go through ``Channel``."""
     if len(body) > MAX_FRAME:
         raise TransportError("frame too large to send")
-    sock.sendall(_U32.pack(len(body)) + body)
+    try:
+        sock.sendall(_U32.pack(len(body)) + body)
+    except BlockingIOError:
+        raise TimeoutError("timed out") from None
 
 
 class Channel:
@@ -107,20 +144,33 @@ class Channel:
     records once a handshake has set one; without a session, messages
     travel as plain frames.  The handshake and the records read through
     the same buffer, so bytes that follow a handshake frame wait for the
-    next message."""
+    next message.
 
-    def __init__(self, sock: socket.socket, session: Session | None = None):
+    With a ``timeout``, the socket must be blocking, and the kernel bounds
+    every read by it, and every frame's whole send too (see ``_send``).
+    Without one, the socket is left as it is."""
+
+    def __init__(
+        self, sock: socket.socket, session: Session | None = None, timeout: float | None = None
+    ):
         self.sock = sock
         self.session = session
+        self.timeout = timeout
         self._pending = b""
+        if timeout is not None:
+            _set_timeout(sock, socket.SO_RCVTIMEO, timeout)
+            _set_timeout(sock, socket.SO_SNDTIMEO, timeout)
 
     def _recv(self, n: int, deadline: float | None) -> bytes:
         if deadline is not None:
             left = deadline - time.monotonic()
             if left <= 0:
                 raise TransportError("read deadline passed")
-            self.sock.settimeout(left)
-        chunk = self.sock.recv(n)
+            _set_timeout(self.sock, socket.SO_RCVTIMEO, left)
+        try:
+            chunk = self.sock.recv(n)
+        except BlockingIOError:
+            raise TimeoutError("timed out") from None
         if not chunk:
             raise TransportError("connection closed mid-frame")
         return chunk
@@ -129,7 +179,8 @@ class Channel:
         """One frame.  One ``recv`` of up to ``_RECV_CHUNK`` bytes normally
         holds all of it; the rest of a longer body is read to its exact
         length.  With a ``deadline`` (a ``time.monotonic()`` instant),
-        every read waits only for what is left of it."""
+        every read waits only for what is left of it, and the receive
+        timeout stays at that until the caller puts it back."""
         data = self._pending
         while len(data) < 4:
             data += self._recv(_RECV_CHUNK, deadline)
@@ -147,13 +198,44 @@ class Channel:
         return bytes(body)
 
     def send_message(self, body: bytes) -> None:
-        if self.session is not None:
-            body = self.session.seal(body)
-        send_frame(self.sock, body)
+        if self.session is None:
+            self._send(_U32.pack(len(body)) + body)
+        else:
+            self._send(self.session.seal_frame(body))
 
     def recv_message(self) -> bytes:
         body = self.recv_frame()
         return body if self.session is None else self.session.open(body)
+
+    def _send(self, frame: bytes) -> None:
+        """Write one whole frame, header included.  One ``send`` normally
+        takes all of it.  After a partial send, the rest goes out within
+        what is left of the timeout, counted from the frame's start: the
+        kernel bounds each ``send`` on its own, so a peer that reads a
+        little at a time could otherwise stretch one frame for as long as
+        it keeps reading."""
+        if len(frame) - 4 > MAX_FRAME:
+            raise TransportError("frame too large to send")
+        start = time.monotonic()
+        try:
+            sent = self.sock.send(frame)
+            if sent < len(frame):
+                self._send_rest(memoryview(frame), sent, start)
+        except BlockingIOError:
+            raise TimeoutError("timed out") from None
+
+    def _send_rest(self, frame: memoryview, sent: int, start: float) -> None:
+        timeout = self.timeout
+        while sent < len(frame):
+            if timeout is not None:
+                left = start + timeout - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError("timed out")
+                _set_timeout(self.sock, socket.SO_SNDTIMEO, left)
+            sent += self.sock.send(frame[sent:])
+        # only a whole frame keeps the channel usable: put the bound back
+        if timeout is not None:
+            _set_timeout(self.sock, socket.SO_SNDTIMEO, timeout)
 
     def close(self) -> None:
         self.sock.close()
@@ -196,7 +278,8 @@ def compute_measurement(
 
 # a record's nonce: 4 zero bytes, then its big-endian sequence number
 _NONCE = struct.Struct(">4xQ")
-_RECORD_TAG = bytes([MSG_RECORD])
+# a sealed record's frame header: the frame length, then the record tag
+_RECORD_HEAD = struct.Struct(">IB")
 
 
 class Session:
@@ -221,10 +304,15 @@ class Session:
         self._send_aead = ChaCha20Poly1305(send_key)
         self._recv_aead = ChaCha20Poly1305(recv_key)
 
-    def seal(self, plaintext: bytes) -> bytes:
+    def seal_frame(self, plaintext: bytes) -> bytes:
+        """The whole frame of the next record: length, tag, ciphertext."""
         ct = self._send_aead.encrypt(_NONCE.pack(self.send_seq), plaintext, None)
         self.send_seq += 1
-        return _RECORD_TAG + ct
+        return _RECORD_HEAD.pack(len(ct) + 1, MSG_RECORD) + ct
+
+    def seal(self, plaintext: bytes) -> bytes:
+        """The next record: tag, ciphertext."""
+        return self.seal_frame(plaintext)[4:]
 
     def open(self, record: bytes) -> bytes:
         if not record or record[0] != MSG_RECORD:
@@ -379,11 +467,10 @@ def handshake_server(
     refusal) for unknown or mis-signed clients and for a key share that
     cannot be agreed with.  All of it must finish within
     ``HANDSHAKE_DEADLINE_S``, or the read that would overrun raises
-    TransportError or ``socket.timeout``; the socket's own timeout is put
-    back once the handshake succeeds."""
+    TransportError or TimeoutError; the channel's own receive timeout is
+    put back once the handshake succeeds."""
     deadline = time.monotonic() + HANDSHAKE_DEADLINE_S
     sock = channel.sock
-    timeout = sock.gettimeout()
     hello = channel.recv_frame(deadline)
     try:
         nonce, name, client_eph, client_sig = _parse_hello(hello)
@@ -428,7 +515,7 @@ def handshake_server(
             sock, encode_result_err(ErrorCode.AUTH_FAILURE, "key confirmation failed")
         )
         raise AuthFailure("key confirmation failed")
-    sock.settimeout(timeout)
+    _set_timeout(sock, socket.SO_RCVTIMEO, channel.timeout)
     return server_session, name
 
 
@@ -446,12 +533,17 @@ def connect_channel(
     authority_public: Ed25519PublicKey | None = None,
     timeout: float | None = 10.0,
 ) -> Channel:
+    """A channel to an enclave, attested unless ``attested`` is false.
+    ``timeout`` bounds the connect, and then every read and every frame's
+    send, kernel-enforced on a blocking socket."""
     if attested and authority_public is None:
         raise ValueError("attested connection requires the authority public key")
-    channel = Channel(socket.create_connection((host, port), timeout=timeout))
+    sock = socket.create_connection((host, port), timeout=timeout)
     try:
+        sock.setblocking(True)
         # small frames ping-pong here; Nagle + delayed ACK would add ~40ms each
-        channel.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        channel = Channel(sock, timeout=timeout)
         if attested:
             assert authority_public is not None
             channel.session = handshake_client(
@@ -462,7 +554,7 @@ def connect_channel(
                 authority_public=authority_public,
             )
     except Exception:
-        channel.close()
+        sock.close()
         raise
     return channel
 
@@ -524,9 +616,10 @@ class Monitor:
             self.listener.close()
 
     def serve_connection(self, conn: socket.socket) -> None:
-        conn.settimeout(IDLE_TIMEOUT_S)
+        """Serve one accepted (blocking) connection until the peer hangs
+        up; every read waits at most ``IDLE_TIMEOUT_S``."""
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        channel = Channel(conn)
+        channel = Channel(conn, timeout=IDLE_TIMEOUT_S)
         if self.attested:
             assert self.authority_private is not None
             channel.session, _name = handshake_server(

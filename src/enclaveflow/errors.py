@@ -12,7 +12,8 @@ class Record:
     importing the package generates no code.  The fields are the
     subclass's ``__slots__`` that do not start with ``_``, in order; its
     ``__init__`` takes them in that order and sets each through
-    ``object.__setattr__``.  Records compare and hash field by field, only
+    ``object.__setattr__``, or, for a record built on every call, through
+    the slot's own ``__set__``.  Records compare and hash field by field, only
     within one class; they repr as ``Name(field=value, ...)`` and pickle
     through their constructor; any assignment after ``__init__`` raises
     ``AttributeError``.  A class whose comparisons are hot, such as the

@@ -21,21 +21,24 @@ from .labels import (
     downgrade,
     join,
 )
-from .wire import I64_MAX, I64_MIN, Value, encode_value
+from .wire import I64_MAX, I64_MIN, MAX_DEPTH, Value, encode_value
 
 __all__ = ["IfcContext", "LabeledRef", "make_labeled"]
 
 
-def _copy_value(v: Value) -> Value:
+def _copy_value(v: Value, depth: int = 0) -> Value:
     """A copy of ``v`` that shares no list with it.  Leaves are immutable
     and pass through.  The codec decides what else is a value: an int out
-    of i64 range raises ``OverflowError``, as ``encode_value`` does, and a
+    of i64 range raises ``OverflowError`` and lists nested deeper than
+    ``MAX_DEPTH`` raise ``ValueError``, as ``encode_value`` does, and a
     non-value raises what ``encode_value`` raises, so a cell only ever
     holds a wire value.  Every ``LabeledValue`` and ``LabeledRef`` is
     filled and emptied through here, so neither shares a list with anyone,
     and a ``LabeledValue`` inside a value is a leaf."""
+    if depth > MAX_DEPTH:
+        raise ValueError("value nesting too deep")
     if isinstance(v, list):
-        return [_copy_value(item) for item in v]
+        return [_copy_value(item, depth + 1) for item in v]
     if v is None or isinstance(v, (bool, float, str, bytes, LabeledValue)):
         return v
     if isinstance(v, int):
@@ -101,7 +104,10 @@ class IfcContext:
             raise IfcViolation()
 
     def _raise_to(self, target: DCLabel) -> None:
-        self._require(can_flow_to(target, self.clearance))
+        # _require written out: every unlabel and read_ref comes through here
+        ok = can_flow_to(target, self.clearance)
+        if self.enforce and not ok:
+            raise IfcViolation()
         self.current = target
 
     # --- labeling ------------------------------------------------------------
@@ -169,7 +175,9 @@ class IfcContext:
         context's label must flow to the output label, and so must the label
         of every ``LabeledValue`` in the result, in lists and in other
         labeled values: a labeled value leaves in plaintext inside its
-        envelope, and returning one unopened never taints the context."""
+        envelope, and returning one unopened never taints the context.  A
+        result nested deeper than the codec allows raises ValueError, as
+        its encoding would."""
         if not self.enforce:
             return True
         if not can_flow_to(self.current, self.output):
@@ -179,10 +187,14 @@ class IfcContext:
         )
 
 
-def _labels_flow_to(v: Value, l: DCLabel) -> bool:
-    """Does the label of every ``LabeledValue`` within ``v`` flow to ``l``?"""
+def _labels_flow_to(v: Value, l: DCLabel, depth: int = 0) -> bool:
+    """Does the label of every ``LabeledValue`` within ``v`` flow to ``l``?
+    A label is checked before the value it covers is entered, so a value
+    nested too deep raises only where its nesting may flow to ``l``."""
+    if depth > MAX_DEPTH:
+        raise ValueError("value nesting too deep")
     if isinstance(v, LabeledValue):
-        return can_flow_to(v.label, l) and _labels_flow_to(v.value, l)
+        return can_flow_to(v.label, l) and _labels_flow_to(v.value, l, depth + 1)
     if isinstance(v, list):
-        return all(_labels_flow_to(item, l) for item in v)
+        return all(_labels_flow_to(item, l, depth + 1) for item in v)
     return True

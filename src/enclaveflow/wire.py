@@ -28,6 +28,7 @@ __all__ = [
     "MSG_RESULT_ERR",
     "I64_MIN",
     "I64_MAX",
+    "MAX_DEPTH",
     "Value",
     "encode_value",
     "decode_value",
@@ -60,45 +61,66 @@ MSG_RESULT_ERR = 0x03
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
 
-# nesting bound: malformed input must fail with DecodeError, not blow the stack
-_MAX_DEPTH = 64
+# nesting bound: a value sits at depth 0, and the items of a list and the
+# value in a labeled value one deeper than it.  Malformed input must fail
+# with DecodeError, not blow the stack, and the encoder refuses what the
+# decoder would, so nothing encoded here is undecodable.
+MAX_DEPTH = 64
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
+# a tag byte and what follows it, packed in one step
+_TAGGED_U32 = struct.Struct(">BI")
+_TAGGED_I64 = struct.Struct(">Bq")
+_TAGGED_F64 = struct.Struct(">Bd")
+_UNIT = bytes([TAG_UNIT])
+_TRUE = bytes([TAG_BOOL, 1])
+_FALSE = bytes([TAG_BOOL, 0])
+_LABELED = bytes([TAG_LABELED])
+# a CALL's header: tag, call id, argument count
+_CALL_HEAD = struct.Struct(">BIH")
+_RESULT_OK = bytes([MSG_RESULT_OK])
+# the two replies of a boolean result, built once
+_RESULT_TRUE = _RESULT_OK + _TRUE
+_RESULT_FALSE = _RESULT_OK + _FALSE
 
 Value = Union[None, bool, int, float, str, bytes, list, LabeledValue]
 
 
-def encode_value(v: Value) -> bytes:
+def encode_value(v: Value, depth: int = 0) -> bytes:
+    """The encoding of ``v`` at nesting ``depth``.  A value nested deeper
+    than ``MAX_DEPTH`` raises ValueError."""
+    if depth > MAX_DEPTH:
+        raise ValueError("value nesting too deep")
     # bool first: bool is a subclass of int
     if v is None:
-        return bytes([TAG_UNIT])
+        return _UNIT
     if isinstance(v, bool):
-        return bytes([TAG_BOOL, 1 if v else 0])
+        return _TRUE if v else _FALSE
     if isinstance(v, int):
         if not I64_MIN <= v <= I64_MAX:
             raise OverflowError("integer out of i64 range")
-        return bytes([TAG_I64]) + _I64.pack(v)
+        return _TAGGED_I64.pack(TAG_I64, v)
     if isinstance(v, float):
-        return bytes([TAG_F64]) + _F64.pack(v)
+        return _TAGGED_F64.pack(TAG_F64, v)
     if isinstance(v, str):
         raw = v.encode("utf-8")
-        return bytes([TAG_STRING]) + _U32.pack(len(raw)) + raw
+        return _TAGGED_U32.pack(TAG_STRING, len(raw)) + raw
     if isinstance(v, bytes):
-        return bytes([TAG_BYTES]) + _U32.pack(len(v)) + v
+        return _TAGGED_U32.pack(TAG_BYTES, len(v)) + v
     if isinstance(v, list):
-        parts = [bytes([TAG_LIST]), _U32.pack(len(v))]
-        parts.extend(encode_value(item) for item in v)
+        parts = [_TAGGED_U32.pack(TAG_LIST, len(v))]
+        parts.extend(encode_value(item, depth + 1) for item in v)
         return b"".join(parts)
     if isinstance(v, LabeledValue):
-        return bytes([TAG_LABELED]) + encode_label(v.label) + encode_value(v.value)
+        return _LABELED + encode_label(v.label) + encode_value(v.value, depth + 1)
     raise TypeError(f"cannot encode value of type {type(v).__name__}")
 
 
 def read_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Value, int]:
-    if depth > _MAX_DEPTH:
+    if depth > MAX_DEPTH:
         raise DecodeError("value nesting too deep")
     if pos >= len(buf):
         raise DecodeError("truncated value")
@@ -124,9 +146,14 @@ def read_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Value, int]:
             raise DecodeError("truncated f64")
         return _F64.unpack(raw)[0], pos + 8
     if tag == TAG_STRING:
-        raw, pos = _read_len_prefixed(buf, pos, "string")
+        start = pos + 4
+        if start > len(buf):
+            raise DecodeError("truncated u32")
+        end = start + _U32.unpack_from(buf, pos)[0]
+        if end > len(buf):
+            raise DecodeError("truncated string")
         try:
-            return raw.decode("utf-8"), pos
+            return buf[start:end].decode("utf-8"), end
         except UnicodeDecodeError as e:
             raise DecodeError("string is not valid UTF-8") from e
     if tag == TAG_BYTES:
@@ -174,26 +201,35 @@ class CallMessage(Record):
     __slots__ = ("call_id", "args")
 
     def __init__(self, call_id: int, args: list) -> None:
-        object.__setattr__(self, "call_id", call_id)
-        object.__setattr__(self, "args", args)
+        _set_call_id(self, call_id)
+        _set_args(self, args)
 
 
 class ResultOk(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: Value) -> None:
-        object.__setattr__(self, "value", value)
+        _set_value(self, value)
 
 
 class ResultErr(Record):
     __slots__ = ("code", "message")
 
     def __init__(self, code: ErrorCode, message: str) -> None:
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
+        _set_code(self, code)
+        _set_message(self, message)
 
 
 Message = Union[CallMessage, ResultOk, ResultErr]
+
+# A message is built for every call and every reply, so its fields are set
+# through the slots' own setters: a third cheaper than object.__setattr__,
+# which looks each slot up by name.
+_set_call_id = CallMessage.call_id.__set__
+_set_args = CallMessage.args.__set__
+_set_value = ResultOk.value.__set__
+_set_code = ResultErr.code.__set__
+_set_message = ResultErr.message.__set__
 
 
 def encode_call(call_id: int, args: Sequence[Value]) -> bytes:
@@ -206,13 +242,20 @@ def encode_call_raw(call_id: int, encoded_args: Sequence[bytes]) -> bytes:
         raise OverflowError("call id out of u32 range")
     if len(encoded_args) > 0xFFFF:
         raise OverflowError("too many arguments")
-    parts = [bytes([MSG_CALL]), _U32.pack(call_id), _U16.pack(len(encoded_args))]
-    parts.extend(encoded_args)
-    return b"".join(parts)
+    return b"".join((_CALL_HEAD.pack(MSG_CALL, call_id, len(encoded_args)), *encoded_args))
 
 
-def encode_result_ok(value: Value) -> bytes:
-    return bytes([MSG_RESULT_OK]) + encode_value(value)
+def encode_result_ok(value: Value, max_len: int | None = None) -> bytes:
+    """The reply carrying ``value``.  With ``max_len``, a reply longer than
+    that raises OverflowError: the caller's transport could not carry it."""
+    if value is True:
+        return _RESULT_TRUE
+    if value is False:
+        return _RESULT_FALSE
+    reply = _RESULT_OK + encode_value(value)
+    if max_len is not None and len(reply) > max_len:
+        raise OverflowError("reply too long")
+    return reply
 
 
 def encode_result_err(code: ErrorCode, message: str) -> bytes:
@@ -225,8 +268,10 @@ def decode_message(b: bytes) -> Message:
     tag = b[0]
     pos = 1
     if tag == MSG_CALL:
-        call_id, pos = _read_u32(b, pos)
-        argc, pos = _read_u16(b, pos)
+        if len(b) < 7:  # tag, u32 call id, u16 argument count
+            raise DecodeError("truncated u32" if len(b) < 5 else "truncated u16")
+        _, call_id, argc = _CALL_HEAD.unpack_from(b)
+        pos = 7
         if argc > len(b) - pos:
             raise DecodeError("argument count exceeds remaining bytes")
         args = []
@@ -264,10 +309,9 @@ def _read_u16(buf: bytes, pos: int) -> tuple[int, int]:
 
 
 def _read_u32(buf: bytes, pos: int) -> tuple[int, int]:
-    raw = buf[pos : pos + 4]
-    if len(raw) != 4:
+    if pos + 4 > len(buf):
         raise DecodeError("truncated u32")
-    return _U32.unpack(raw)[0], pos + 4
+    return _U32.unpack_from(buf, pos)[0], pos + 4
 
 
 def _read_len_prefixed(buf: bytes, pos: int, what: str) -> tuple[bytes, int]:

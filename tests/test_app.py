@@ -15,7 +15,7 @@ from enclaveflow.app import (
     SecureRef,
     run_app,
 )
-from enclaveflow.attest import Monitor, connect_channel, gen_signing_key
+from enclaveflow.attest import MAX_FRAME, Monitor, Session, connect_channel, gen_signing_key
 from enclaveflow.errors import (
     DecodeError,
     ErrorCode,
@@ -47,8 +47,10 @@ from enclaveflow.wire import (
     decode_message,
     encode_call,
     encode_call_raw,
+    encode_result_err,
     encode_value,
 )
+from value_gen import nested
 
 ALICE = DCLabel(cnf_from_principal("Alice"), CNF_TRUE)
 ALICE_BOTH = DCLabel(cnf_from_principal("Alice"), cnf_from_principal("Alice"))
@@ -459,6 +461,58 @@ def test_a_result_label_that_flows_to_the_output_leaves():
     assert reply == ResultOk([LabeledValue(vouched, "hunter2"), LabeledValue(DC_PUBLIC, 1)])
 
 
+INTERNAL_ERROR = ResultErr(ErrorCode.INTERNAL, "internal error")
+
+
+def returning(value, **app_kwargs) -> App:
+    return returning_program(lambda ctx, c, table: value, **app_kwargs)
+
+
+@pytest.mark.parametrize("enforce", [True, False], ids=["ifc-on", "ifc-off"])
+@pytest.mark.parametrize("kind", ["list", "labeled"])
+@pytest.mark.parametrize("depth", [63, 64, 65, 66, 5000])
+def test_a_result_nested_past_the_codec_bound_is_an_internal_error(depth, kind, enforce):
+    # the client refuses nesting past 64; the enclave answers the opaque
+    # error instead of a reply its caller must refuse, and a result 5000
+    # deep raises no RecursionError, from the output gate's walk (ifc on)
+    # or from the encoder (ifc off)
+    value = nested(depth, kind)
+    reply = decode_message(returning(value, ifc_enforce=enforce).dispatch(encode_call(0, [])))
+    assert reply == (ResultOk(value) if depth <= 64 else INTERNAL_ERROR)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["\ud800", [1, "\udfff"], 2**63, {"not": "a value"}],
+    ids=["surrogate", "in-list", "i64", "dict"],
+)
+def test_a_result_the_codec_cannot_carry_is_an_internal_error(value):
+    reply = decode_message(returning(value).dispatch(encode_call(0, [])))
+    assert reply == INTERNAL_ERROR
+
+
+def test_a_reply_too_long_to_seal_into_one_frame_is_an_internal_error():
+    from enclaveflow.attest import MAX_MESSAGE
+
+    sealer = Session(b"s" * 16, b"k" * 32, b"k" * 32)
+    longest = returning(b"x" * (MAX_MESSAGE - 6)).dispatch(encode_call(0, []))  # tag, tag, u32
+    assert len(longest) == MAX_MESSAGE and len(sealer.seal(longest)) == MAX_FRAME
+    for size in (MAX_MESSAGE - 5, MAX_FRAME + 10):
+        assert returning(b"x" * size).dispatch(encode_call(0, [])) == encode_result_err(
+            ErrorCode.INTERNAL, "internal error"
+        )
+
+
+@pytest.mark.parametrize("value", [True, False, None])
+def test_a_bool_or_none_result_costs_no_walk(monkeypatch, value):
+    def no_walk(*args):
+        raise AssertionError("the output gate walked a scalar result")
+
+    monkeypatch.setattr("enclaveflow.ifc._labels_flow_to", no_walk)
+    reply = decode_message(returning(value).dispatch(encode_call(0, [])))
+    assert reply == ResultOk(value)
+
+
 def test_ref_shape_tells_a_public_appender_nothing():
     # A writer tainted by Alice picks the shape of an Alice-labeled list
     # cell from her secret; a public appender then calls.  Both calls must
@@ -743,6 +797,54 @@ def test_a_label_padded_with_clauses_is_refused_at_once_and_the_monitor_serves_o
         assert decode_message(good.recv_message()) == ResultOk(1)
         good.close()
     finally:
+        monitor.stop()
+        t.join()
+
+
+def test_an_oversized_reply_is_answered_and_the_session_serves_on():
+    # a reply that cannot be sealed into one frame used to close the
+    # connection with no error code, and the client's App dropped its session
+    authority = gen_signing_key()
+    key = gen_signing_key()
+    server = staged(
+        ENCLAVE_ROLE,
+        lambda app: (
+            app.enclave_fn(PLAIN, lambda ctx: b"x" * (MAX_FRAME + 10), (), name="huge"),
+            app.enclave_fn(PLAIN, add, (int, int)),
+        ),
+    )
+    monitor = Monitor(
+        "127.0.0.1",
+        0,
+        server.dispatch,
+        measurement=server.measurement(b""),
+        authority_private=authority,
+        credentials={"user": key.public_key()},
+    )
+    t = threading.Thread(target=monitor.serve_forever, daemon=True)
+    t.start()
+    opened: list[int] = []
+
+    def factory():
+        opened.append(1)
+        return connect_channel(
+            "127.0.0.1",
+            monitor.port,
+            client_name="user",
+            signing_key=key,
+            expected_measurement=server.measurement(b""),
+            authority_public=authority.public_key(),
+        )
+
+    client = App("user", gateway_factory=factory)
+    try:
+        with pytest.raises(RemoteError) as caught:
+            client.gateway(SecureRef(0, 0))
+        assert (caught.value.code, caught.value.message) == (ErrorCode.INTERNAL, "internal error")
+        assert client.gateway(SecureRef(1, 2).apply(2).apply(3)) == 5
+        assert opened == [1]  # one session throughout
+    finally:
+        client.close()
         monitor.stop()
         t.join()
 

@@ -681,6 +681,238 @@ def test_monitor_drops_a_stalled_hello_within_the_deadline(monkeypatch):
         t.join()
 
 
+def test_monitor_drops_a_trickled_hello_at_the_deadline(monkeypatch):
+    # one hello byte every 0.1 s: every read gets a byte long before any
+    # per-read timeout, so only a deadline over all of the handshake's
+    # reads drops this peer, and the good client behind it is served
+    deadline = 0.3
+    monkeypatch.setattr("enclaveflow.attest.HANDSHAKE_DEADLINE_S", deadline)
+    mon, t = start_monitor()
+    hello = frame(signed_hello(X25519PrivateKey.generate().public_key().public_bytes_raw()))
+    trickler = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
+    done = threading.Event()
+
+    def trickle() -> None:
+        for i in range(len(hello)):
+            if done.wait(0.1):
+                return
+            try:
+                trickler.sendall(hello[i : i + 1])
+            except OSError:
+                return  # dropped
+
+    sender = threading.Thread(target=trickle)
+    sender.start()
+    try:
+        start = time.monotonic()
+        ch = client_channel(mon, timeout=deadline + 2.0)
+        ch.send_message(encode_call(3, []))
+        assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(3))
+        ch.close()
+        assert time.monotonic() - start < deadline + 1.0
+        assert sender.is_alive()  # the hello was far from whole when it was dropped
+        try:
+            closed = trickler.recv(1) == b""
+        except ConnectionResetError:
+            closed = True  # a byte sent after the close drew a reset
+        assert closed  # the monitor closed the trickler's connection
+    finally:
+        done.set()
+        sender.join(5)
+        trickler.close()
+        mon.stop()
+        t.join()
+    assert not sender.is_alive()
+
+
+def _never_reads(sock: socket.socket, stop: threading.Event) -> None:
+    stop.wait(30)
+
+
+def _reads_1_kb_per_100_ms(sock: socket.socket, stop: threading.Event) -> None:
+    while not stop.wait(0.1):
+        try:
+            if not sock.recv(1024):
+                return
+        except OSError:
+            return
+
+
+@pytest.mark.parametrize(
+    "reader", [_never_reads, _reads_1_kb_per_100_ms], ids=["never-reads", "reads-1-KB-per-100-ms"]
+)
+def test_a_peer_that_reads_a_big_reply_slowly_gives_way(monkeypatch, reader):
+    # The send of a whole frame is bounded by IDLE_TIMEOUT_S in total.  The
+    # slow peer's small segments and receive buffer let every KB it reads
+    # reopen the window, so each single send() makes progress: a bound on
+    # each send() alone would hold the monitor for as long as the peer
+    # keeps reading (8 MB at 10 KB/s: over 13 minutes).
+    idle = 0.5
+    monkeypatch.setattr("enclaveflow.attest.IDLE_TIMEOUT_S", idle)
+    big = encode_result_ok(b"x" * (8 << 20))
+    mon = Monitor(
+        "127.0.0.1",
+        0,
+        lambda request: big if request == encode_call(8, []) else echo_dispatch(request),
+        measurement=MEASUREMENT,
+        authority_private=AUTHORITY,
+        credentials=CREDS,
+    )
+    t = threading.Thread(target=mon.serve_forever, daemon=True)
+    t.start()
+    raw = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_MAXSEG, 536)
+    raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    raw.settimeout(5.0)
+    stop = threading.Event()
+    peer = threading.Thread(target=reader, args=(raw, stop))
+    try:
+        raw.connect(("127.0.0.1", mon.port))
+        slow = Channel(raw)
+        slow.session = handshake_client(
+            slow,
+            client_name="Alice",
+            signing_key=ALICE_KEY,
+            expected_measurement=MEASUREMENT,
+            authority_public=AUTHORITY_PUB,
+        )
+        slow.send_message(encode_call(8, []))
+        peer.start()
+        start = time.monotonic()
+        ch = client_channel(mon, timeout=idle + 5.0)
+        ch.send_message(encode_call(3, []))
+        assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(3))
+        ch.close()
+        assert time.monotonic() - start < idle + 1.5
+    finally:
+        stop.set()
+        if peer.is_alive():
+            peer.join(5)
+        raw.close()
+        mon.stop()
+        t.join()
+    assert not peer.is_alive()
+
+
+def test_connect_channel_times_out_on_a_silent_listener():
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    accepted: list[socket.socket] = []
+    acceptor = threading.Thread(target=lambda: accepted.append(listener.accept()[0]))
+    acceptor.start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            connect_channel(
+                "127.0.0.1",
+                listener.getsockname()[1],
+                client_name="Alice",
+                signing_key=ALICE_KEY,
+                expected_measurement=MEASUREMENT,
+                authority_public=AUTHORITY_PUB,
+                timeout=0.3,
+            )
+        assert 0.25 < time.monotonic() - start < 0.3 + 0.5
+    finally:
+        acceptor.join(5)
+        for sock in accepted:
+            sock.close()
+        listener.close()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1e9, exclude_min=True)
+    | st.sampled_from([5e-324, 1e-7, 0.3, 30.0])
+)
+def test_a_positive_timeout_never_becomes_wait_forever(seconds):
+    from enclaveflow.attest import _timeval  # the one timeval helper
+
+    sec, usec = struct.unpack("@ll", _timeval(seconds))
+    assert (sec, usec) != (0, 0)  # the kernel reads 0 s 0 µs as "wait forever"
+    assert 0 <= usec < 1_000_000
+    assert abs(sec + usec / 1e6 - seconds) <= 1e-6 + seconds * 1e-12
+
+
+def test_timeval_helper_maps_none_to_forever_and_refuses_non_positive():
+    from enclaveflow.attest import _timeval
+
+    assert struct.unpack("@ll", _timeval(None)) == (0, 0)
+    for bad in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            _timeval(bad)
+
+
+def _timeouts(sock: socket.socket) -> list[float]:
+    """The socket's SO_RCVTIMEO and SO_SNDTIMEO, in seconds."""
+    size = struct.calcsize("@ll")
+    return [
+        sec + usec / 1e6
+        for sec, usec in (
+            struct.unpack("@ll", sock.getsockopt(socket.SOL_SOCKET, option, size))
+            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO)
+        )
+    ]
+
+
+def test_connection_sockets_are_blocking_with_kernel_timeouts(monkeypatch):
+    # A Python-level timeout makes CPython poll() before every recv and
+    # send.  Both ends of a connection keep blocking sockets, and the kernel
+    # holds their timeouts: the receive timeout is back at its configured
+    # value once the monitor's handshake is done.
+    monkeypatch.setattr("enclaveflow.attest.IDLE_TIMEOUT_S", 12.25)
+    served: list[socket.socket] = []
+
+    class Recording(Monitor):
+        def serve_connection(self, conn: socket.socket) -> None:
+            served.append(conn)
+            super().serve_connection(conn)
+
+    mon = Recording(
+        "127.0.0.1",
+        0,
+        echo_dispatch,
+        measurement=MEASUREMENT,
+        authority_private=AUTHORITY,
+        credentials=CREDS,
+    )
+    t = threading.Thread(target=mon.serve_forever, daemon=True)
+    t.start()
+    try:
+        ch = client_channel(mon, timeout=7.5)
+        assert ch.sock.gettimeout() is None
+        # the kernel keeps a timeout in scheduler ticks, rounded up
+        assert _timeouts(ch.sock) == [pytest.approx(7.5, abs=0.011)] * 2
+        ch.send_message(encode_call(3, []))  # answered after the handshake
+        assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(3))
+        (conn,) = served
+        assert conn.gettimeout() is None
+        assert _timeouts(conn) == [pytest.approx(12.25, abs=0.011)] * 2
+        ch.close()
+    finally:
+        mon.stop()
+        t.join()
+
+
+def test_a_channel_timeout_raises_timeout_error_not_blocking_io_error():
+    a, b = socket.socketpair()
+    try:
+        reader = Channel(a, timeout=0.2)
+        start = time.monotonic()
+        with pytest.raises(TimeoutError) as caught:
+            reader.recv_message()  # nothing is ever sent
+        assert not isinstance(caught.value, BlockingIOError)
+        writer = Channel(b, timeout=0.2)
+        with pytest.raises(TimeoutError) as caught:
+            writer.send_message(b"x" * (8 << 20))  # nothing is ever read
+        assert not isinstance(caught.value, BlockingIOError)
+        assert time.monotonic() - start < 0.4 + 1.0
+    finally:
+        a.close()
+        b.close()
+
+
 def test_monitor_never_dispatches_unauthenticated():
     calls: list[bytes] = []
 

@@ -22,6 +22,7 @@ from enclaveflow.labels import (
 )
 from enclaveflow.wire import I64_MAX, I64_MIN, encode_value
 from label_oracle import enumerate_canonical_cnfs
+from value_gen import nested
 
 ALICE = DCLabel(cnf_from_principal("Alice"), CNF_TRUE)
 BOB = DCLabel(cnf_from_principal("Bob"), CNF_TRUE)
@@ -234,7 +235,17 @@ def test_refs_refuse_what_the_codec_refuses():
         for bad in (2**63, [[-(2**63) - 1]]):
             with pytest.raises(OverflowError):
                 write(bad)
+        for depth in (65, 5000):  # deeper than the codec's bound, never a RecursionError
+            with pytest.raises(ValueError, match="nesting too deep"):
+                write(nested(depth))
     assert r.cell == []
+
+
+def test_copies_take_the_deepest_value_the_codec_takes():
+    v = nested(64)
+    assert make_labeled(DC_PUBLIC, v).value == v
+    with pytest.raises(ValueError, match="nesting too deep"):
+        make_labeled(DC_PUBLIC, nested(65))
 
 
 def test_copies_range_check_ints_without_the_encoder(monkeypatch):

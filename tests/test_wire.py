@@ -38,7 +38,8 @@ from enclaveflow.wire import (
     encode_result_ok,
     encode_value,
 )
-from value_gen import random_value
+from enclaveflow.labels import encode_label
+from value_gen import nested, random_value
 
 
 # --- pinned byte vectors ------------------------------------------------------
@@ -261,6 +262,51 @@ def test_deep_nesting_rejected_cleanly():
     bomb = b"\x06\x00\x00\x00\x01" * 100 + b"\x01"
     with pytest.raises(DecodeError):
         decode_value(bomb)
+
+
+@pytest.mark.parametrize("kind", ["list", "labeled"])
+@pytest.mark.parametrize("depth", [63, 64, 65, 66, 5000])
+def test_the_encoder_refuses_exactly_the_nesting_the_decoder_refuses(depth, kind):
+    # the decoder's bound is 64: a value nested deeper is refused on both
+    # sides, so the enclave never sends a reply its caller must refuse
+    value = nested(depth, kind)
+    wrapper = b"\x06\x00\x00\x00\x01" if kind == "list" else b"\x07" + encode_label(DC_PUBLIC)
+    by_hand = wrapper * depth + encode_value(1)
+    if depth <= 64:
+        assert encode_value(value) == by_hand
+        assert decode_value(by_hand) == value
+        return
+    with pytest.raises(ValueError, match="nesting too deep"):
+        encode_value(value)
+    with pytest.raises(DecodeError, match="nesting too deep"):
+        decode_value(by_hand)
+
+
+def test_each_truncated_call_keeps_its_error_message():
+    call = encode_call(7, ["guess"])  # tag, u32 call id, u16 argc, then the string
+    expected = {0: "empty message", 7: "argument count exceeds remaining bytes"}
+    expected.update({n: "truncated u32" for n in (1, 2, 3, 4, 8, 9, 10, 11)})
+    expected.update({n: "truncated u16" for n in (5, 6)})
+    expected.update({n: "truncated string" for n in range(12, len(call))})
+    assert sorted(expected) == list(range(len(call)))
+    for n, message in expected.items():
+        with pytest.raises(DecodeError) as caught:
+            decode_message(call[:n])
+        assert str(caught.value) == message, n
+
+
+def test_a_boolean_reply_is_built_once_with_the_same_bytes():
+    assert encode_result_ok(True) == b"\x02\x02\x01"
+    assert encode_result_ok(False) == b"\x02\x02\x00"
+    assert encode_result_ok(True) is encode_result_ok(True)
+    assert encode_result_ok(False) is encode_result_ok(False)
+
+
+def test_a_reply_longer_than_its_limit_is_refused():
+    assert encode_result_ok(b"abc", 9) == b"\x02\x08\x00\x00\x00\x03abc"  # 9 bytes
+    with pytest.raises(OverflowError):
+        encode_result_ok(b"abcd", 9)
+    assert len(encode_result_ok(b"x" * 100)) == 106  # no limit without one
 
 
 def test_trailing_bytes_rejected():

@@ -7,8 +7,10 @@ import random
 from enclaveflow.labels import (
     CNF,
     CNF_FALSE,
+    DC_PUBLIC,
     Clause,
     DCLabel,
+    LabeledValue,
     Principal,
     cnf_reduce,
 )
@@ -63,3 +65,12 @@ def random_value(rng: random.Random, depth: int = 0) -> Value:
     if kind == "list":
         return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
     return make_labeled(random_label(rng), random_value(rng, depth + 1))
+
+
+def nested(depth: int, kind: str = "list", leaf: Value = 1) -> Value:
+    """``leaf`` at nesting ``depth`` (see ``wire.MAX_DEPTH``), inside lists
+    or inside public labeled values."""
+    v = leaf
+    for _ in range(depth):
+        v = [v] if kind == "list" else LabeledValue(DC_PUBLIC, v)
+    return v
