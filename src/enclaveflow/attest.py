@@ -57,7 +57,6 @@ __all__ = [
     "MAX_MESSAGE",
     "HANDSHAKE_DEADLINE_S",
     "IDLE_TIMEOUT_S",
-    "send_frame",
     "sha256",
     "compute_measurement",
     "Session",
@@ -124,19 +123,6 @@ def _set_timeout(sock: socket.socket, option: int, seconds: float | None) -> Non
 
 
 # --- framing -----------------------------------------------------------------
-
-
-def send_frame(sock: socket.socket, body: bytes) -> None:
-    """One plain frame through ``sendall``.  The handshake sends its few
-    small frames this way; each is among the first bytes its side sends,
-    so no send can wait on a full peer buffer, and the kernel's bound on
-    each ``send`` bounds the whole frame.  Records go through ``Channel``."""
-    if len(body) > MAX_FRAME:
-        raise TransportError("frame too large to send")
-    try:
-        sock.sendall(_U32.pack(len(body)) + body)
-    except BlockingIOError:
-        raise TimeoutError("timed out") from None
 
 
 class Channel:
@@ -420,7 +406,7 @@ def handshake_client(
     to_sign = _hello_signed_bytes(nonce, eph_pub, client_name)
     sig = signing_key.sign(to_sign) if signing_key is not None else _ZERO_SIG
     hello = _hello_body(nonce, client_name, eph_pub, sig)
-    send_frame(channel.sock, hello)
+    channel.send_message(hello)
 
     reply = channel.recv_frame()
     if reply and reply[0] == MSG_RESULT_ERR:  # pre-session refusal (e.g. auth)
@@ -449,7 +435,7 @@ def handshake_client(
     transcript = sha256(hello, reply)
     client_session, fin_key = _derive_session(shared, transcript, client=True)
     mac = _hmac_sha256(fin_key, transcript)
-    send_frame(channel.sock, bytes([MSG_CLIENT_FINISH]) + mac)
+    channel.send_message(bytes([MSG_CLIENT_FINISH]) + mac)
     return client_session
 
 
@@ -470,12 +456,11 @@ def handshake_server(
     TransportError or TimeoutError; the channel's own receive timeout is
     put back once the handshake succeeds."""
     deadline = time.monotonic() + HANDSHAKE_DEADLINE_S
-    sock = channel.sock
     hello = channel.recv_frame(deadline)
     try:
         nonce, name, client_eph, client_sig = _parse_hello(hello)
     except DecodeError:
-        send_frame(sock, encode_result_err(ErrorCode.DECODE_ERROR, "malformed hello"))
+        channel.send_message(encode_result_err(ErrorCode.DECODE_ERROR, "malformed hello"))
         raise
 
     if verify_client:
@@ -488,9 +473,8 @@ def handshake_server(
             except InvalidSignature:
                 ok = False
         if not ok:
-            send_frame(
-                sock,
-                encode_result_err(ErrorCode.AUTH_FAILURE, "client authentication failed"),
+            channel.send_message(
+                encode_result_err(ErrorCode.AUTH_FAILURE, "client authentication failed")
             )
             raise AuthFailure(f"client {name!r} failed authentication")
 
@@ -498,24 +482,24 @@ def handshake_server(
     # agree before quoting: a share we refuse gets a refusal, not a quote
     shared = _exchange(eph_priv, client_eph)
     if shared is None:
-        send_frame(sock, encode_result_err(ErrorCode.AUTH_FAILURE, "client key share refused"))
+        channel.send_message(encode_result_err(ErrorCode.AUTH_FAILURE, "client key share refused"))
         raise AuthFailure("client key share refused")
     eph_pub = eph_priv.public_key().public_bytes_raw()
     report_data = _report_data(eph_pub, nonce)
     quote_sig = authority_private.sign(measurement + report_data)
     attest = _attest_body(eph_pub, measurement, report_data, quote_sig)
-    send_frame(sock, attest)
+    channel.send_message(attest)
 
     transcript = sha256(hello, attest)
     server_session, fin_key = _derive_session(shared, transcript, client=False)
 
     finish = channel.recv_frame(deadline)
     if not _finish_ok(finish, fin_key, transcript):
-        send_frame(
-            sock, encode_result_err(ErrorCode.AUTH_FAILURE, "key confirmation failed")
+        channel.send_message(
+            encode_result_err(ErrorCode.AUTH_FAILURE, "key confirmation failed")
         )
         raise AuthFailure("key confirmation failed")
-    _set_timeout(sock, socket.SO_RCVTIMEO, channel.timeout)
+    _set_timeout(channel.sock, socket.SO_RCVTIMEO, channel.timeout)
     return server_session, name
 
 

@@ -41,7 +41,6 @@ from .attest import (
     private_raw,
     public_raw,
     save_key_hex,
-    send_frame,
     sha256,
 )
 from .errors import (
@@ -559,11 +558,11 @@ def _one_shot_proxy(
     proxy_port = listener.getsockname()[1]
 
     def pump(src: socket.socket, dst: socket.socket, transform) -> None:
-        frames = Channel(src)
+        frames, out = Channel(src), Channel(dst)
         try:
             while True:
                 body = frames.recv_frame()
-                send_frame(dst, transform(body) if transform else body)
+                out.send_message(transform(body) if transform else body)
         except (TransportError, OSError):
             # shutdown, not just close: it wakes the sibling pump's blocked
             # recv and sends FIN even while that recv holds the socket open

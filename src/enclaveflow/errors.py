@@ -11,13 +11,15 @@ class Record:
     """An immutable value with named fields, written out by hand so that
     importing the package generates no code.  The fields are the
     subclass's ``__slots__`` that do not start with ``_``, in order; its
-    ``__init__`` takes them in that order and sets each through
+    constructor takes them in that order and sets each through
     ``object.__setattr__``, or, for a record built on every call, through
     the slot's own ``__set__``.  Records compare and hash field by field, only
     within one class; they repr as ``Name(field=value, ...)`` and pickle
-    through their constructor; any assignment after ``__init__`` raises
-    ``AttributeError``.  A class whose comparisons are hot, such as the
-    label types, writes its own ``__eq__`` and ``__hash__``."""
+    through their constructor; any assignment after construction raises
+    ``AttributeError``.  A class whose comparisons are hot writes its own
+    ``__eq__`` and ``__hash__``.  ``DCLabel`` and ``Privilege`` are
+    interned instead: one live object stands for each value, so they
+    compare and hash by identity."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
@@ -26,7 +28,8 @@ class Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
-        cls._key = attrgetter(*cls._fields)
+        if cls._fields:  # a base with no public fields has no key
+            cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -8,20 +8,21 @@ secrecy formula with an integrity formula.  Labels are ordered by
 All operations return canonical CNFs: an antichain of clauses (no clause
 contains another), with ``True`` the empty clause set and ``False`` the
 singleton set holding the empty clause.  Everything here is an immutable
-value, safe to share across threads, so ``can_flow_to``, ``join``,
-``downgrade`` and ``encode_label`` are memoized on their arguments in
-bounded caches of ``LABEL_CACHE_SIZE`` entries each.  ``DCLabel`` and
-``Privilege`` compute their hash once, when built, so a cache lookup costs
-a hash read per argument rather than a walk over their CNFs, and a warm
-``can_flow_to`` runs no implication check at all.
+value, safe to share across threads.  ``DCLabel`` and ``Privilege`` are
+hash-consed through one weak intern table: building a value equal to a
+live one, by any route (the constructor, a lattice operation, decoding,
+pickling, ``copy``), returns that object, so equality is identity and
+hashing is native.  ``can_flow_to``, ``join``, ``downgrade`` and
+``encode_label`` are memoized on their arguments in bounded caches of
+``LABEL_CACHE_SIZE`` entries each, and a warm ``can_flow_to`` runs no
+implication check at all.
 
-Labels are hash-consed where they cross the wire: ``read_label`` maps the
-exact bytes of an encoding of at most ``LABEL_INTERN_MAX`` bytes, through
-one more cache of ``LABEL_CACHE_SIZE`` entries, to a single ``DCLabel``.
-Every value decoded with one label then shares one label object, and the
-lattice caches above find it by identity.  Only successful parses are
-cached, so malformed bytes are parsed and refused on every call; longer
-encodings are parsed afresh each time, so a peer cannot pin large labels.
+``read_label`` also skips the parse: it maps the exact bytes of an
+encoding of at most ``LABEL_INTERN_MAX`` bytes, through one more cache of
+``LABEL_CACHE_SIZE`` entries, to the label parsed from them.  Only
+successful parses are cached, so malformed bytes are parsed and refused on
+every call; longer encodings are parsed afresh each time, so a peer cannot
+pin large labels.
 ``read_cnf`` refuses a CNF of more than ``LABEL_MAX_CLAUSES`` clauses
 before it builds any, so its canonical check, which compares every pair
 of clauses, stays cheap however a peer pads a label; ``encode_cnf``
@@ -32,6 +33,8 @@ from __future__ import annotations
 
 import functools
 import struct
+import threading
+import weakref
 from typing import Iterable
 
 from .errors import LabelError, Record
@@ -224,34 +227,43 @@ def cnf_implies(a: CNF, b: CNF) -> bool:
     )
 
 
-class DCLabel(Record):
-    """A ⟨secrecy, integrity⟩ pair of canonical CNFs.  Its hash is computed
-    once, at construction: every memoized lattice operation hashes its
-    labels.  String hashes are salted per process, so pickling rebuilds the
-    label from its CNFs instead of carrying the hash along."""
+# One live object per interned value, keyed on its class and then its
+# fields.  Weak, so it holds only what the enclave or a bounded cache holds;
+# the lock on the miss path keeps two threads from each building their own.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
-    __slots__ = ("secrecy", "integrity", "_hash")
 
-    def __init__(self, secrecy: CNF, integrity: CNF) -> None:
-        object.__setattr__(self, "secrecy", secrecy)
-        object.__setattr__(self, "integrity", integrity)
-        object.__setattr__(self, "_hash", hash((secrecy, integrity)))
+class _Interned(Record):
+    """A record with one live instance per class and field values, which
+    ``__new__`` finds or builds through ``_intern``; pickling and ``copy``
+    rebuild through it too.  Equality is identity, the hash ``object``'s."""
 
-    # unequal hashes answer at once: a lattice cache compares a label with
-    # the equal one that another join built
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and (self.secrecy, self.integrity) == (
-            other.secrecy,
-            other.integrity,
-        )
+    __slots__ = ("__weakref__",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    def __reduce__(self):
-        return DCLabel, (self.secrecy, self.integrity)
+def _intern(key: tuple):
+    value = _INTERNED.get(key)
+    if value is None:
+        with _INTERN_LOCK:
+            value = _INTERNED.get(key)  # another thread may have built it
+            if value is None:
+                value = object.__new__(key[0])
+                for name, field in zip(value._fields, key[1:]):
+                    object.__setattr__(value, name, field)
+                _INTERNED[key] = value
+    return value
+
+
+class DCLabel(_Interned):
+    """A ⟨secrecy, integrity⟩ pair of canonical CNFs, interned."""
+
+    __slots__ = ("secrecy", "integrity")
+
+    def __new__(cls, secrecy: CNF, integrity: CNF) -> DCLabel:
+        return _intern((cls, secrecy, integrity))
 
     def __repr__(self) -> str:
         return f"<{self.secrecy!r},{self.integrity!r}>"
@@ -262,22 +274,14 @@ DC_BOTTOM = DCLabel(CNF_TRUE, CNF_FALSE)
 DC_TOP = DCLabel(CNF_FALSE, CNF_TRUE)
 
 
-class Privilege(Record):
-    """A CNF whose clauses the holder may speak for.  The empty privilege
-    is True and relaxes nothing.  Its hash is cached and never pickled, as
-    ``DCLabel``'s is."""
+class Privilege(_Interned):
+    """A CNF whose clauses the holder may speak for, interned.  The empty
+    privilege is True and relaxes nothing."""
 
-    __slots__ = ("description", "_hash")
+    __slots__ = ("description",)
 
-    def __init__(self, description: CNF) -> None:
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "_hash", hash(description))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Privilege, (self.description,)
+    def __new__(cls, description: CNF) -> Privilege:
+        return _intern((cls, description))
 
     @classmethod
     def for_principal(cls, name: str) -> "Privilege":

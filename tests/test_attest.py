@@ -37,7 +37,6 @@ from enclaveflow.attest import (
     private_raw,
     public_raw,
     save_key_hex,
-    send_frame,
     _derive_session,
 )
 from enclaveflow.errors import (
@@ -63,6 +62,11 @@ ALICE_KEY = gen_signing_key()
 CREDS = {"Alice": ALICE_KEY.public_key()}
 TABLE = [(0, "checkpwd"), (1, "other")]
 MEASUREMENT = compute_measurement("demo-1.0", TABLE, b"config")
+
+
+def send_frame(sock, body: bytes) -> None:
+    """One plain frame, as a peer with no session sends it."""
+    Channel(sock).send_message(body)
 
 
 def spair():
@@ -233,12 +237,12 @@ def handshake_via_proxy(mutate, record: list | None = None):
     def proxy():
         from_client, from_server = Channel(c_proxy), Channel(s_proxy)
         try:
-            send_frame(s_proxy, from_client.recv_frame())  # hello →
+            from_server.send_message(from_client.recv_frame())  # hello →
             attest = from_server.recv_frame()
             if record is not None:
                 record.append(attest)
-            send_frame(c_proxy, mutate(attest))  # ← attest (possibly rewritten)
-            send_frame(s_proxy, from_client.recv_frame())  # finish →
+            from_client.send_message(mutate(attest))  # ← attest (possibly rewritten)
+            from_server.send_message(from_client.recv_frame())  # finish →
         except (TransportError, OSError):
             pass
         finally:
@@ -577,11 +581,12 @@ class HoldFinish:
     def __init__(self, sock: socket.socket):
         self.sock, self.held = sock, b""
 
-    def sendall(self, data: bytes) -> None:
+    def send(self, data: bytes) -> int:
         if data[4] == MSG_CLIENT_FINISH:
             self.held = data
         else:
             self.sock.sendall(data)
+        return len(data)
 
     def recv(self, n: int) -> bytes:
         return self.sock.recv(n)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -616,8 +619,80 @@ def test_only_labels_within_the_bound_are_interned():
     assert decode_label(at_bound) is decode_label(at_bound)
     before = labels._intern_label.cache_info()
     first, second = decode_label(over), decode_label(over)
-    assert first == second == uncached_parse(over) and first is not second
+    assert first == second == uncached_parse(over) and first is second
     assert labels._intern_label.cache_info() == before  # neither looked up nor stored
+
+
+# --- one live object per label and privilege --------------------------------------
+
+
+def test_every_way_to_build_an_equal_label_or_privilege_gives_one_object():
+    secrecy, integrity = cnf({"Alice"}, {"Bob", "Carol"}), cnf({"Dave"})
+    lab = DCLabel(secrecy, integrity)
+    dave = Privilege(cnf({"Dave"}))
+    built = [
+        DCLabel(_rebuilt(secrecy), _rebuilt(integrity)),
+        DCLabel(integrity=integrity, secrecy=secrecy),
+        join(DCLabel(cnf({"Alice"}), integrity), DCLabel(cnf({"Bob", "Carol"}), integrity)),
+        meet(DCLabel(secrecy, CNF_TRUE), DCLabel(secrecy, integrity)),
+        downgrade(dave, DCLabel(cnf_and(secrecy, cnf({"Dave"})), CNF_TRUE)),
+        decode_label(encode_label(lab)),
+        uncached_parse(encode_label.__wrapped__(lab)),
+        pickle.loads(pickle.dumps(lab)),
+        copy.deepcopy(lab),
+        copy.copy(lab),
+    ]
+    assert all(b is lab for b in built)
+    for again in (
+        Privilege.for_principal("Dave"),
+        Privilege(description=_rebuilt(dave.description)),
+        pickle.loads(pickle.dumps(dave)),
+        copy.deepcopy(dave),
+    ):
+        assert again is dave
+    assert DCLabel(integrity, secrecy) is not lab
+    assert Privilege(integrity) is dave and Privilege(secrecy) is not dave
+
+
+def test_the_intern_table_holds_only_live_values():
+    # a peer that sends ever new labels leaves nothing behind once the
+    # bounded caches that hold labels let them go
+    for fn in (can_flow_to, *CACHED, encode_label, labels._intern_label):
+        fn.cache_clear()
+    before = len(labels._INTERNED)
+    for i in range(10_000):
+        DCLabel(cnf_from_principal(f"P{i}"), CNF_TRUE)
+        Privilege.for_principal(f"P{i}")
+        decode_label(encode_label.__wrapped__(named_label(f"Q{i}")))
+    assert len(labels._INTERNED) == before + LABEL_CACHE_SIZE  # the decode cache's
+    labels._intern_label.cache_clear()
+    assert len(labels._INTERNED) == before
+
+
+def test_threads_that_build_one_label_at_once_get_one_object():
+    threads, rounds = 8, 2000
+    barrier = threading.Barrier(threads, timeout=30)
+    got: list[list] = [[None] * threads for _ in range(rounds)]
+
+    def build(t: int) -> None:
+        for r in range(rounds):
+            name = f"race{r}"  # a label nobody has built yet
+            secrecy, integrity = cnf({name}), cnf({name, "x"})
+            barrier.wait()
+            got[r][t] = DCLabel(secrecy, integrity)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all(lab is row[0] for row in got for lab in row)
 
 
 def test_malformed_bytes_are_refused_on_every_call():
