@@ -29,7 +29,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import (
     AttestationFailure,
@@ -55,6 +55,7 @@ __all__ = [
     "MSG_RECORD",
     "MAX_FRAME",
     "MAX_MESSAGE",
+    "KEY_BLOCK_LIMIT",
     "HANDSHAKE_DEADLINE_S",
     "IDLE_TIMEOUT_S",
     "sha256",
@@ -82,8 +83,12 @@ MSG_RECORD = 0x13
 
 MAX_FRAME = 1 << 24  # 16 MiB; anything bigger is hostile at this scale
 # the longest message that still fits one frame once sealed: a record adds
-# its tag byte and the 16-byte Poly1305 tag
+# its tag byte and the 16-byte GCM tag
 MAX_MESSAGE = MAX_FRAME - 1 - 16
+# the AES blocks one send key may encrypt, tag masks included: RFC 8446
+# §5.5 allows AES-GCM 2^24.5 full-size records (about 2^34.5 blocks) per
+# key for a 2^-57 authenticated-encryption margin
+KEY_BLOCK_LIMIT = 1 << 34
 # handshake_server's whole budget, across all of its reads: a peer that
 # trickles its hello cannot hold the one-at-a-time monitor for longer
 HANDSHAKE_DEADLINE_S = 5.0
@@ -269,9 +274,12 @@ _RECORD_HEAD = struct.Struct(">IB")
 
 
 class Session:
-    """AEAD state for one direction-keyed connection.  Sequence counters
-    are implicit nonces: both ends count, so a replayed or dropped record
-    shows up as an authentication failure."""
+    """AES-256-GCM state for one direction-keyed connection.  Sequence
+    counters are implicit nonces: both ends count, so a replayed or dropped
+    record shows up as an authentication failure.  A record of ``n`` bytes
+    costs its send key ⌈n/16⌉ + 1 AES blocks, and the key seals nothing
+    past ``KEY_BLOCK_LIMIT`` of them: the connection must end and a new
+    handshake bring new keys."""
 
     def __init__(
         self,
@@ -286,14 +294,22 @@ class Session:
         self.recv_key = recv_key
         self.send_seq = send_seq
         self.recv_seq = recv_seq
+        # the AES blocks the send key has encrypted
+        self.send_blocks = 0
         # the keys are fixed for the session: key each direction's AEAD once
-        self._send_aead = ChaCha20Poly1305(send_key)
-        self._recv_aead = ChaCha20Poly1305(recv_key)
+        self._send_aead = AESGCM(send_key)
+        self._recv_aead = AESGCM(recv_key)
 
     def seal_frame(self, plaintext: bytes) -> bytes:
-        """The whole frame of the next record: length, tag, ciphertext."""
+        """The whole frame of the next record: length, tag, ciphertext.
+        Raises TransportError, and seals nothing, if the record would take
+        the send key past ``KEY_BLOCK_LIMIT``."""
+        blocks = self.send_blocks + (len(plaintext) + 31) // 16  # ⌈n/16⌉ + 1
+        if blocks > KEY_BLOCK_LIMIT:
+            raise TransportError("session key exhausted")
         ct = self._send_aead.encrypt(_NONCE.pack(self.send_seq), plaintext, None)
         self.send_seq += 1
+        self.send_blocks = blocks
         return _RECORD_HEAD.pack(len(ct) + 1, MSG_RECORD) + ct
 
     def seal(self, plaintext: bytes) -> bytes:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -847,6 +848,94 @@ def test_an_oversized_reply_is_answered_and_the_session_serves_on():
         client.close()
         monitor.stop()
         t.join()
+
+
+def blocks_of(message: bytes) -> int:
+    """What sealing ``message`` costs its send key: ⌈n/16⌉ + 1 AES blocks."""
+    return (len(message) + 31) // 16
+
+
+@contextmanager
+def serve_sized(monkeypatch, limit_in_calls, call: SecureRef, request_or_reply: str):
+    """An App over a real Monitor serving ``size`` (0: the length of a bytes
+    argument) and ``big`` (1: 200 bytes), with ``KEY_BLOCK_LIMIT`` set so
+    that ``call``'s request or reply fits ``limit_in_calls`` times exactly.
+    Yields the client, the dispatched requests and the handshakes opened."""
+    authority = gen_signing_key()
+    key = gen_signing_key()
+    server = staged(
+        ENCLAVE_ROLE,
+        lambda app: (
+            app.enclave_fn(PLAIN, lambda ctx, b: len(b), (bytes,), name="size"),
+            app.enclave_fn(PLAIN, lambda ctx: bytes(200), (), name="big"),
+        ),
+    )
+    request = encode_call_raw(call.call_id, call.args)
+    blocks = blocks_of(request if request_or_reply == "request" else server.dispatch(request))
+    monkeypatch.setattr("enclaveflow.attest.KEY_BLOCK_LIMIT", limit_in_calls * blocks)
+    dispatched: list[bytes] = []
+
+    def dispatch(req: bytes) -> bytes:
+        dispatched.append(req)
+        return server.dispatch(req)
+
+    monitor = Monitor(
+        "127.0.0.1",
+        0,
+        dispatch,
+        measurement=server.measurement(b""),
+        authority_private=authority,
+        credentials={"user": key.public_key()},
+    )
+    t = threading.Thread(target=monitor.serve_forever, daemon=True)
+    t.start()
+    opened: list[int] = []
+
+    def factory():
+        opened.append(1)
+        return connect_channel(
+            "127.0.0.1",
+            monitor.port,
+            client_name="user",
+            signing_key=key,
+            expected_measurement=server.measurement(b""),
+            authority_public=authority.public_key(),
+        )
+
+    client = App("user", gateway_factory=factory)
+    try:
+        yield client, dispatched, opened
+    finally:
+        client.close()
+        monitor.stop()
+        t.join()
+
+
+def test_a_request_past_the_key_limit_is_refused_unsent_and_the_next_call_handshakes(
+    monkeypatch,
+):
+    call = SecureRef(0, 1).apply(bytes(100))  # 8 blocks out, 2 back
+    with serve_sized(monkeypatch, 2, call, "request") as (client, dispatched, opened):
+        assert client.gateway(call) == 100
+        assert client.gateway(call) == 100
+        with pytest.raises(TransportError, match="session key exhausted"):
+            client.gateway(call)
+        assert len(dispatched) == 2 and opened == [1]  # nothing reached the enclave
+        assert client.gateway(call) == 100
+        assert len(dispatched) == 3 and opened == [1, 1]  # on a new handshake
+
+
+def test_a_reply_past_the_key_limit_closes_the_connection_and_the_next_call_handshakes(
+    monkeypatch,
+):
+    call = SecureRef(1, 0)  # 2 blocks out, 14 back
+    with serve_sized(monkeypatch, 1, call, "reply") as (client, dispatched, opened):
+        assert client.gateway(call) == bytes(200)
+        with pytest.raises((TransportError, OSError)):
+            client.gateway(call)  # dispatched, but its reply is never sealed
+        assert len(dispatched) == 2 and opened == [1]
+        assert client.gateway(call) == bytes(200)
+        assert opened == [1, 1]
 
 
 def test_idle_peer_gives_way_and_its_app_recovers(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings, strategies as st
 
@@ -319,11 +319,11 @@ def make_sessions():
 def test_each_side_keys_only_its_own_session(monkeypatch):
     keyed: list[bytes] = []
 
-    def counting(key: bytes) -> ChaCha20Poly1305:
+    def counting(key: bytes) -> AESGCM:
         keyed.append(key)
-        return ChaCha20Poly1305(key)
+        return AESGCM(key)
 
-    monkeypatch.setattr("enclaveflow.attest.ChaCha20Poly1305", counting)
+    monkeypatch.setattr("enclaveflow.attest.AESGCM", counting)
     client, server = make_sessions()
     assert (client.send_key, client.recv_key) == (server.recv_key, server.send_key)
     assert client.session_id == server.session_id
@@ -338,18 +338,37 @@ def test_seal_open_roundtrip_and_counters():
 
 
 def test_sealed_record_bytes_are_pinned():
-    # the record format: tag byte, then ChaCha20-Poly1305 under the
-    # direction's key with nonce = 4 zero bytes + big-endian sequence number
+    # the record format: tag byte, then AES-256-GCM under the direction's
+    # key with nonce = 4 zero bytes + big-endian sequence number
     client, server = make_sessions()
     for sender, receiver in ((client, server), (server, client)):
         for seq in range(3):
             pt = f"record {seq}".encode()
-            want = bytes([MSG_RECORD]) + ChaCha20Poly1305(sender.send_key).encrypt(
+            want = bytes([MSG_RECORD]) + AESGCM(sender.send_key).encrypt(
                 bytes(4) + seq.to_bytes(8, "big"), pt, None
             )
             record = sender.seal(pt)
             assert record == want
             assert receiver.open(record) == pt
+
+
+def test_a_send_key_seals_nothing_past_its_block_limit(monkeypatch):
+    # a record of n bytes costs its send key ⌈n/16⌉ + 1 blocks
+    monkeypatch.setattr("enclaveflow.attest.KEY_BLOCK_LIMIT", 10)
+    client, server = make_sessions()
+    # the client's key runs out first; the server's key, its own count,
+    # still seals its whole allowance after that
+    for sender, receiver in ((client, server), (server, client)):
+        assert sender.send_blocks == 0
+        used = []
+        for n in (0, 16, 17, 48):  # 1 + 2 + 3 + 4 blocks: exactly the limit
+            assert receiver.open(sender.seal(bytes(n))) == bytes(n)
+            used.append(sender.send_blocks)
+        assert used == [1, 3, 6, 10]
+        for _ in range(2):  # one block more is refused, and stays refused
+            with pytest.raises(TransportError, match="session key exhausted"):
+                sender.seal(b"")
+        assert (sender.send_seq, sender.send_blocks) == (4, 10)
 
 
 def test_sealed_record_bitflip_fails():

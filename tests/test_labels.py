@@ -362,7 +362,8 @@ def _rebuilt(a: CNF) -> CNF:
 def test_memoized_can_flow_to_agrees_with_the_oracle_cold_and_warm(l1, l2):
     twin = DCLabel(_rebuilt(l1.secrecy), _rebuilt(l1.integrity))
     assert twin == l1 and hash(twin) == hash(l1)
-    assert hash(Privilege(_rebuilt(l2.secrecy))) == hash(Privilege(l2.secrecy))
+    p = Privilege(l2.secrecy)
+    assert Privilege(_rebuilt(l2.secrecy)) is p
     can_flow_to.cache_clear()
     want = oracle_can_flow_to(l1, l2)
     assert can_flow_to(l1, l2) == want  # cold
