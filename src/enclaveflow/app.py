@@ -20,7 +20,6 @@ from .errors import (
     DecodeError,
     ErrorCode,
     IfcViolation,
-    LabelError,
     NotReady,
     Record,
     RemoteError,
@@ -118,14 +117,15 @@ class _FnEntry:
         self.fn = fn
 
 
+_ARG_SPECS = (None, bool, int, float, str, bytes, list, LabeledValue)
+
+
 def _type_ok(v: Value, spec: Any) -> bool:
     if spec is None:
         return v is None
     if spec is int:  # bool is an int subclass, but a distinct wire type
         return isinstance(v, int) and not isinstance(v, bool)
-    if spec in (bool, float, str, bytes, list, LabeledValue):
-        return isinstance(v, spec)
-    raise UsageError(f"unsupported argument type spec: {spec!r}")
+    return isinstance(v, spec)
 
 
 class DirectChannel:
@@ -187,13 +187,19 @@ class App:
         name: str | None = None,
     ) -> SecureRef:
         """Register an enclave function; every role assigns it the same
-        call id.  Outside the enclave only the id and arity survive."""
+        call id.  Outside the enclave only the id and arity survive.  Each
+        argument is declared as a wire type or None; any other spec raises
+        UsageError here, before any call."""
         self._check_staging()
+        arg_types = tuple(arg_types)
+        for spec in arg_types:
+            if spec not in _ARG_SPECS:
+                raise UsageError(f"unsupported argument type spec: {spec!r}")
         call_id = len(self._entries)
         entry = _FnEntry(
             call_id=call_id,
             name=name or getattr(fn, "__name__", f"fn{call_id}"),
-            arg_types=tuple(arg_types),
+            arg_types=arg_types,
             template=template,
             fn=fn if self.role == ENCLAVE_ROLE else None,
         )
@@ -246,11 +252,12 @@ class App:
     def dispatch(self, request: bytes) -> bytes:
         """One CALL in, one RESULT out.  Runs the function in a fresh
         context cloned from its registration template and consults the
-        output gate before any result or error of the function leaves; a
-        result passes only if every label it carries flows to the output
-        label too.  Error responses never carry application data.  A
-        result the caller could not take (not a wire value, nested too
-        deep, or too long to seal into one frame) is an internal error."""
+        output gate before any result or error of the function leaves; the
+        result's encoding checks its labels against the output label.
+        Error responses never carry application data.  A result the caller
+        could not take (not a wire value, nested too deep, or too long to
+        seal into one frame) is an internal error, unless the encoder meets
+        a label that may not leave first."""
         if self.role != ENCLAVE_ROLE:
             raise UsageError("dispatch is enclave-side only")
         try:
@@ -279,16 +286,12 @@ class App:
         assert entry.fn is not None
         try:
             result = entry.fn(ctx, *msg.args)
+            if ctx.output_gate():
+                return encode_result_ok(result, MAX_MESSAGE, ctx.output if ctx.enforce else None)
         except Exception as e:  # noqa: BLE001 - opaque by design: no leakage via errors
-            if not ctx.output_gate():
-                return _IFC_VIOLATION_RESPONSE
-            return next(_ERROR_RESPONSES[t] for t in type(e).__mro__ if t in _ERROR_RESPONSES)
-        try:
-            if not ctx.output_gate(result):
-                return _IFC_VIOLATION_RESPONSE
-            return encode_result_ok(result, MAX_MESSAGE)
-        except (TypeError, ValueError, OverflowError, LabelError):
-            return _ERROR_RESPONSES[Exception]
+            if ctx.output_gate():
+                return next(_ERROR_RESPONSES[t] for t in type(e).__mro__ if t in _ERROR_RESPONSES)
+        return _IFC_VIOLATION_RESPONSE
 
     # --- client side: the gateway ------------------------------------------------
 

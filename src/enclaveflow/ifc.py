@@ -170,31 +170,11 @@ class IfcContext:
 
     # --- the output gate ---------------------------------------------------------
 
-    def output_gate(self, result: Value = None) -> bool:
-        """May ``result`` flow from this context to the client channel?  The
-        context's label must flow to the output label, and so must the label
-        of every ``LabeledValue`` in the result, in lists and in other
-        labeled values: a labeled value leaves in plaintext inside its
-        envelope, and returning one unopened never taints the context.  A
-        result nested deeper than the codec allows raises ValueError, as
-        its encoding would."""
-        if not self.enforce:
-            return True
-        if not can_flow_to(self.current, self.output):
-            return False
-        return not isinstance(result, (list, LabeledValue)) or _labels_flow_to(
-            result, self.output
-        )
-
-
-def _labels_flow_to(v: Value, l: DCLabel, depth: int = 0) -> bool:
-    """Does the label of every ``LabeledValue`` within ``v`` flow to ``l``?
-    A label is checked before the value it covers is entered, so a value
-    nested too deep raises only where its nesting may flow to ``l``."""
-    if depth > MAX_DEPTH:
-        raise ValueError("value nesting too deep")
-    if isinstance(v, LabeledValue):
-        return can_flow_to(v.label, l) and _labels_flow_to(v.value, l, depth + 1)
-    if isinstance(v, list):
-        return all(_labels_flow_to(item, l, depth + 1) for item in v)
-    return True
+    def output_gate(self) -> bool:
+        """May this context's results and errors flow to the client channel?
+        Its label must flow to the output label.  A result's own labels are
+        checked as it is encoded: ``encode_result_ok(result, max_len,
+        ctx.output)`` refuses a ``LabeledValue`` whose label does not flow
+        to the output label, since one leaves in plaintext inside its
+        envelope and returning it unopened never taints the context."""
+        return not self.enforce or can_flow_to(self.current, self.output)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import struct
 from typing import Sequence, Union
 
-from .errors import DecodeError, ErrorCode, LabelError, Record
-from .labels import LabeledValue, encode_label, read_label
+from .errors import DecodeError, ErrorCode, IfcViolation, LabelError, Record
+from .labels import DCLabel, LabeledValue, can_flow_to, encode_label, read_label
 
 __all__ = [
     "TAG_UNIT",
@@ -89,9 +89,12 @@ _RESULT_FALSE = _RESULT_OK + _FALSE
 Value = Union[None, bool, int, float, str, bytes, list, LabeledValue]
 
 
-def encode_value(v: Value, depth: int = 0) -> bytes:
+def encode_value(v: Value, depth: int = 0, gate: DCLabel | None = None) -> bytes:
     """The encoding of ``v`` at nesting ``depth``.  A value nested deeper
-    than ``MAX_DEPTH`` raises ValueError."""
+    than ``MAX_DEPTH`` raises ValueError.  With ``gate`` this is the output
+    gate's walk: a ``LabeledValue`` whose label does not flow to ``gate``
+    raises IfcViolation before what it covers is entered, and the first
+    refusal met, left to right, is the one raised."""
     if depth > MAX_DEPTH:
         raise ValueError("value nesting too deep")
     # bool first: bool is a subclass of int
@@ -112,10 +115,12 @@ def encode_value(v: Value, depth: int = 0) -> bytes:
         return _TAGGED_U32.pack(TAG_BYTES, len(v)) + v
     if isinstance(v, list):
         parts = [_TAGGED_U32.pack(TAG_LIST, len(v))]
-        parts.extend(encode_value(item, depth + 1) for item in v)
+        parts.extend(encode_value(item, depth + 1, gate) for item in v)
         return b"".join(parts)
     if isinstance(v, LabeledValue):
-        return _LABELED + encode_label(v.label) + encode_value(v.value, depth + 1)
+        if gate is not None and not can_flow_to(v.label, gate):
+            raise IfcViolation()
+        return _LABELED + encode_label(v.label) + encode_value(v.value, depth + 1, gate)
     raise TypeError(f"cannot encode value of type {type(v).__name__}")
 
 
@@ -245,14 +250,17 @@ def encode_call_raw(call_id: int, encoded_args: Sequence[bytes]) -> bytes:
     return b"".join((_CALL_HEAD.pack(MSG_CALL, call_id, len(encoded_args)), *encoded_args))
 
 
-def encode_result_ok(value: Value, max_len: int | None = None) -> bytes:
+def encode_result_ok(
+    value: Value, max_len: int | None = None, gate: DCLabel | None = None
+) -> bytes:
     """The reply carrying ``value``.  With ``max_len``, a reply longer than
-    that raises OverflowError: the caller's transport could not carry it."""
+    that raises OverflowError: the caller's transport could not carry it.
+    ``gate`` is ``encode_value``'s."""
     if value is True:
         return _RESULT_TRUE
     if value is False:
         return _RESULT_FALSE
-    reply = _RESULT_OK + encode_value(value)
+    reply = _RESULT_OK + encode_value(value, 0, gate)
     if max_len is not None and len(reply) > max_len:
         raise OverflowError("reply too long")
     return reply

@@ -261,6 +261,15 @@ def test_dispatch_type_mismatch():
         assert isinstance(reply, ResultErr) and reply.code == ErrorCode.DECODE_ERROR, args
 
 
+@pytest.mark.parametrize("role", [ENCLAVE_ROLE, "c"])
+def test_an_unsupported_argument_spec_fails_staging(role):
+    # refused where it is declared, in every role, not on the first call
+    app = App(role)
+    with pytest.raises(UsageError, match="unsupported argument type spec"):
+        app.enclave_fn(PLAIN, lambda ctx, d: d, (dict,))
+    assert app.call_table() == []
+
+
 def test_dispatch_accepts_declared_labeled_arg():
     def takes_labeled(ctx, lv):
         return ctx.unlabel(lv)
@@ -504,14 +513,65 @@ def test_a_reply_too_long_to_seal_into_one_frame_is_an_internal_error():
         )
 
 
-@pytest.mark.parametrize("value", [True, False, None])
-def test_a_bool_or_none_result_costs_no_walk(monkeypatch, value):
-    def no_walk(*args):
-        raise AssertionError("the output gate walked a scalar result")
+VOUCHED = DCLabel(CNF_TRUE, cnf_from_principal("svc"))
+# a result and how many nodes it has: each is encoded once, by one walk
+# that is also the output gate's, and a bool's reply is prebuilt
+WALKED = {
+    "True": (True, 0),
+    "False": (False, 0),
+    "None": (None, 1),
+    "nested labeled": (
+        [LabeledValue(DC_PUBLIC, [1, "a"]), [None, LabeledValue(VOUCHED, [b"x"])]], 10
+    ),
+}
 
-    monkeypatch.setattr("enclaveflow.ifc._labels_flow_to", no_walk)
+
+@pytest.mark.parametrize("case", list(WALKED))
+def test_a_bool_or_none_result_costs_no_walk(monkeypatch, case):
+    value, nodes = WALKED[case]
+    calls = []
+
+    def counting(v, *rest):
+        calls.append(v)
+        return encode_value(v, *rest)  # the original, which recurses through this
+
+    monkeypatch.setattr("enclaveflow.wire.encode_value", counting)
     reply = decode_message(returning(value).dispatch(encode_call(0, [])))
     assert reply == ResultOk(value)
+    assert len(calls) == nodes
+
+
+@pytest.mark.parametrize("depth", [1, 60, 64])
+def test_a_label_that_may_not_leave_hides_its_contents_shape(depth):
+    # an unprivileged function returns an svc-labeled constant 3 lists deep;
+    # the constant's leaf sits 4 + depth deep in the result, past the codec
+    # bound at depth 64, and a lone surrogate is a leaf the encoder refuses.
+    # The label is checked before either is met: every reply is the same.
+    def reply(leaf) -> bytes:
+        app = App(ENCLAVE_ROLE)
+        stored = app.labeled_constant(SVC, nested(depth, leaf=leaf))
+        app.enclave_fn(PLAIN, lambda ctx: [[[stored]]], (), name="give")
+        app.freeze()
+        return app.dispatch(encode_call(0, []))
+
+    replies = {reply("ok"), reply("\ud800")}
+    assert [decode_message(r) for r in replies] == [IFC_VIOLATION]
+
+
+@pytest.mark.parametrize(
+    "make_result, expected",
+    [
+        (lambda ctx, c, table: [2**63, c], INTERNAL_ERROR),
+        (lambda ctx, c, table: [c, 2**63], IFC_VIOLATION),
+    ],
+    ids=["public-part-first", "label-first"],
+)
+def test_the_first_refusal_met_decides_the_reply(make_result, expected):
+    # a result both uncodable and carrying a label that may not leave is
+    # answered by what the encoder meets first, left to right; both answers
+    # are fixed strings, and which is given depends only on public data
+    reply = decode_message(returning_program(make_result).dispatch(encode_call(0, [])))
+    assert reply == expected
 
 
 def test_ref_shape_tells_a_public_appender_nothing():
