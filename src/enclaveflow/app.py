@@ -237,10 +237,6 @@ class App:
 
     # --- identity -----------------------------------------------------------
 
-    @property
-    def client_names(self) -> list[str]:
-        return list(self._client_names)
-
     def call_table(self) -> list[tuple[int, str]]:
         return [(e.call_id, e.name) for e in self._entries]
 
@@ -251,7 +247,7 @@ class App:
 
     def dispatch(self, request: bytes) -> bytes:
         """One CALL in, one RESULT out.  Runs the function in a fresh
-        context cloned from its registration template and consults the
+        context built from its registration template and consults the
         output gate before any result or error of the function leaves; the
         result's encoding checks its labels against the output label.
         Error responses never carry application data.  A result the caller
@@ -299,39 +295,33 @@ class App:
         """Invoke a fully-applied SecureRef on the enclave and return the
         decoded result; enclave-side errors surface as RemoteError.  Any
         other failure drops the held channel and still fails the call:
-        nothing is sent twice."""
+        nothing is sent twice.  With ``per_call_channel`` the channel is
+        closed after every call, so each call handshakes anew."""
         if len(s.args) != s.arity:
             raise UsageError(
                 f"gateway call needs {s.arity} argument(s), got {len(s.args)}"
             )
         if self._gateway_factory is None:
             raise UsageError("this role has no gateway configured")
-        if self._per_call_channel:
-            channel = self._gateway_factory()
-            try:
-                return self._exchange(channel, s)
-            finally:
-                channel.close()
         if self._channel is None:
             self._channel = self._gateway_factory()
         try:
-            return self._exchange(self._channel, s)
+            self._channel.send_message(encode_call_raw(s.call_id, s.args))
+            reply = decode_message(self._channel.recv_message())
+            if isinstance(reply, ResultOk):
+                return reply.value
+            if isinstance(reply, ResultErr):
+                raise RemoteError(reply.code, reply.message)
+            raise DecodeError("unexpected message in reply")
         except RemoteError:
             raise  # the enclave answered: the session is in step
         except BaseException:
             # dead or out of step: drop it, so the next call handshakes anew
             self.close()
             raise
-
-    @staticmethod
-    def _exchange(channel, s: SecureRef) -> Value:
-        channel.send_message(encode_call_raw(s.call_id, s.args))
-        reply = decode_message(channel.recv_message())
-        if isinstance(reply, ResultOk):
-            return reply.value
-        if isinstance(reply, ResultErr):
-            raise RemoteError(reply.code, reply.message)
-        raise DecodeError("unexpected message in reply")
+        finally:
+            if self._per_call_channel:
+                self.close()
 
     def close(self) -> None:
         if self._channel is not None:
@@ -367,6 +357,6 @@ def run_app(
     finally:
         app.freeze()
         app.close()
-    if role != ENCLAVE_ROLE and role not in app.client_names:
+    if role != ENCLAVE_ROLE and role not in app._client_names:
         raise UsageError(f"unknown role {role!r}")
     return app

@@ -281,19 +281,12 @@ class Session:
     past ``KEY_BLOCK_LIMIT`` of them: the connection must end and a new
     handshake bring new keys."""
 
-    def __init__(
-        self,
-        session_id: bytes,
-        send_key: bytes,
-        recv_key: bytes,
-        send_seq: int = 0,
-        recv_seq: int = 0,
-    ) -> None:
+    def __init__(self, session_id: bytes, send_key: bytes, recv_key: bytes) -> None:
         self.session_id = session_id
         self.send_key = send_key
         self.recv_key = recv_key
-        self.send_seq = send_seq
-        self.recv_seq = recv_seq
+        self.send_seq = 0
+        self.recv_seq = 0
         # the AES blocks the send key has encrypted
         self.send_blocks = 0
         # the keys are fixed for the session: key each direction's AEAD once

@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
-from .app import ENCLAVE_ROLE, App, run_app
+from .app import ENCLAVE_ROLE, App, SecureRef, run_app
 from .attest import (
     MSG_RECORD,
     MSG_SERVER_ATTEST,
@@ -58,7 +58,7 @@ from .errors import (
 )
 from .ifc import IfcContext
 from .labels import DCLabel, EMPTY_PRIVILEGE, Privilege, cnf_from_principal
-from .wire import ResultErr, ResultOk, decode_message, encode_call
+from .wire import ResultOk, Value, decode_message, encode_call, encode_value
 
 SERVICE_PRINCIPAL = "svc"
 APPS = ("password-checker", "cleanroom", "attack-demo")
@@ -597,6 +597,14 @@ def _one_shot_proxy(
 # connector bound to the enclave's measurement and the user's credentials.
 
 
+def _drill_call(connect, port: int, args: list, **overrides) -> Value:
+    """Call function 0 as users' clients do: through ``App.gateway``, on a
+    channel of its own opened by ``connect(port, **overrides)``."""
+    ref = SecureRef(0, len(args), tuple(map(encode_value, args)))
+    factory = functools.partial(connect, port, **overrides)
+    return App("user", gateway_factory=factory, per_call_channel=True).gateway(ref)
+
+
 def _attack_tampered_record(port: int, connect):
     flipped = []
 
@@ -608,41 +616,32 @@ def _attack_tampered_record(port: int, connect):
             return bytes(mangled)
         return body
 
-    channel = connect(_one_shot_proxy("127.0.0.1", port, flip))
     try:
-        channel.send_message(encode_call(0, ["password"]))
-        channel.recv_message()
+        _drill_call(connect, _one_shot_proxy("127.0.0.1", port, flip), ["password"])
     except (CryptoError, TransportError) as e:
         return ("tampered-record", True, f"session aborted ({e})")
-    finally:
-        channel.close()
     return ("tampered-record", False, "tampered record was accepted")
 
 
 def _attack_unknown_client(port: int, connect):
     rogue = gen_signing_key()  # never provisioned with the enclave
     try:
-        channel = connect(port, client_name="mallory", signing_key=rogue)
+        reply = _drill_call(connect, port, ["password"], client_name="mallory", signing_key=rogue)
     except AuthFailure:
         return ("unknown-client", True, "handshake refused with AUTH_FAILURE")
-    try:
-        channel.send_message(encode_call(0, ["password"]))
-        reply = decode_message(channel.recv_message())
-    finally:
-        channel.close()
-    return ("unknown-client", False, f"rogue client was answered: {reply}")
+    except RemoteError as e:
+        reply = e
+    return ("unknown-client", False, f"rogue client was answered: {reply!r}")
 
 
 def _attack_leaky_function(port: int, connect):
-    channel = connect(port)
     try:
-        channel.send_message(encode_call(0, []))
-        reply = decode_message(channel.recv_message())
-    finally:
-        channel.close()
-    if reply == ResultErr(ErrorCode.IFC_VIOLATION, IFC_VIOLATION_MESSAGE):
-        return ("leaky-function", True, f"output gate refused: {reply.message!r}")
-    return ("leaky-function", False, f"leak escaped the enclave: {reply}")
+        reply = _drill_call(connect, port, [])
+    except RemoteError as e:
+        if (e.code, e.message) == (ErrorCode.IFC_VIOLATION, IFC_VIOLATION_MESSAGE):
+            return ("leaky-function", True, f"output gate refused: {e.message!r}")
+        reply = e
+    return ("leaky-function", False, f"leak escaped the enclave: {reply!r}")
 
 
 def _attack_replayed_attest(port: int, connect):

@@ -16,10 +16,9 @@ class Record:
     the slot's own ``__set__``.  Records compare and hash field by field, only
     within one class; they repr as ``Name(field=value, ...)`` and pickle
     through their constructor; any assignment after construction raises
-    ``AttributeError``.  A class whose comparisons are hot writes its own
-    ``__eq__`` and ``__hash__``.  ``DCLabel`` and ``Privilege`` are
-    interned instead: one live object stands for each value, so they
-    compare and hash by identity."""
+    ``AttributeError``.  ``DCLabel`` and ``Privilege`` are interned: one
+    live object stands for each value, so they compare and hash by
+    identity."""
 
     __slots__ = ()
     _fields: tuple[str, ...]

@@ -91,12 +91,6 @@ class IfcContext:
         self.output = output
         self.enforce = enforce
 
-    def clone(self) -> "IfcContext":
-        """A fresh context for one call, sharing no mutable state."""
-        return IfcContext(
-            self.privilege, self.current, self.clearance, self.output, self.enforce
-        )
-
     # --- guards ------------------------------------------------------------
 
     def _require(self, ok: bool) -> None:

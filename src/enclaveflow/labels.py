@@ -88,16 +88,6 @@ class Principal(Record):
             raise LabelError("principal name must not contain NUL")
         object.__setattr__(self, "name", name)
 
-    # The label types write out equality and hashing: every set of
-    # principals or clauses, and every lattice cache, runs them.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
     def __repr__(self) -> str:
         return self.name
 
@@ -109,14 +99,6 @@ class Clause(Record):
 
     def __init__(self, principals: frozenset[Principal]) -> None:
         object.__setattr__(self, "principals", principals)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.principals == other.principals
-
-    def __hash__(self) -> int:
-        return hash(self.principals)
 
     def sorted_names(self) -> list[str]:
         return sorted((p.name for p in self.principals), key=lambda n: n.encode("utf-8"))
@@ -132,14 +114,6 @@ class CNF(Record):
 
     def __init__(self, clauses: frozenset[Clause]) -> None:
         object.__setattr__(self, "clauses", clauses)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.clauses == other.clauses
-
-    def __hash__(self) -> int:
-        return hash(self.clauses)
 
     def is_true(self) -> bool:
         return not self.clauses

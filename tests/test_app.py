@@ -344,13 +344,15 @@ def test_dispatch_gate_blocks_tainted_result():
 
 def test_dispatch_fresh_context_per_call():
     def taint_and_count(ctx):
-        ctx.taint_p(ctx.get_privilege(), ALICE)
-        return True
+        fresh = ctx.current == DC_PUBLIC
+        ctx.taint(ALICE)
+        return fresh
 
-    template = IfcContext(Privilege.for_principal("Alice"))
+    template = IfcContext(EMPTY_PRIVILEGE, output=ALICE)
     app = enclave_app(lambda a: a.enclave_fn(template, taint_and_count, ()))
     for _ in range(3):  # no taint accumulates across calls
         assert decode_message(app.dispatch(encode_call(0, []))) == ResultOk(True)
+    assert template.current == DC_PUBLIC  # nor in the template
 
 
 def test_dispatch_labeled_result_keeps_label():
@@ -680,16 +682,40 @@ def test_gateway_surfaces_remote_errors():
     assert exc.value.message == "information flow violation"
 
 
-def test_per_call_channel_opens_one_channel_per_call():
-    def program(app: App):
-        ref = app.enclave_fn(PLAIN, add, (int, int))
-        app.run_client("c", lambda capp: [capp.gateway(ref.apply(1).apply(2)) for _ in range(3)])
+def refuse(ctx, a, b):
+    raise ValueError("refused")
 
-    server = staged(ENCLAVE_ROLE, program)
+
+def count_gateway_channels(fn, send_fails: bool, per_call: bool):
+    """Run a client that calls ``fn(1, 2)`` three times over counting
+    channels: each call's outcome, and the channels opened, channels
+    closed and messages sent."""
+    outcomes: list = []
     opened: list[int] = []
     closed: list[int] = []
+    sent: list[bytes] = []
+
+    def program(app: App):
+        ref = app.enclave_fn(PLAIN, fn, (int, int))
+
+        def body(capp: App) -> None:
+            for _ in range(3):
+                try:
+                    outcomes.append(capp.gateway(ref.apply(1).apply(2)))
+                except (RemoteError, TransportError) as e:
+                    outcomes.append(type(e).__name__)
+
+        app.run_client("c", body)
+
+    server = staged(ENCLAVE_ROLE, program)
 
     class CountingChannel(DirectChannel):
+        def send_message(self, body: bytes) -> None:
+            sent.append(body)
+            if send_fails:
+                raise TransportError("connection reset")
+            super().send_message(body)
+
         def close(self) -> None:
             closed.append(1)
 
@@ -697,14 +723,26 @@ def test_per_call_channel_opens_one_channel_per_call():
         opened.append(1)
         return CountingChannel(server.dispatch)
 
-    run_app("c", program, gateway_factory=factory, per_call_channel=True)
-    assert len(opened) == 3
-    assert len(closed) == 3
-    opened.clear()
-    closed.clear()
-    run_app("c", program, gateway_factory=factory)
-    assert len(opened) == 1  # session reuse
-    assert len(closed) == 1  # run_app closes the held channel
+    run_app("c", program, gateway_factory=factory, per_call_channel=per_call)
+    return outcomes, len(opened), len(closed), len(sent)
+
+
+def test_per_call_channel_opens_one_channel_per_call():
+    # However a call ends (a result, an error reply, a failed send), the
+    # per-call path opens one channel for it and closes that one, and
+    # nothing is sent twice.
+    for fn, send_fails, outcome in (
+        (add, False, 3),
+        (refuse, False, "RemoteError"),
+        (add, True, "TransportError"),
+    ):
+        assert count_gateway_channels(fn, send_fails, True) == ([outcome] * 3, 3, 3, 3)
+    # session reuse; run_app closes the held channel
+    assert count_gateway_channels(add, False, False) == ([3] * 3, 1, 1, 3)
+    # the enclave answered: the session is kept
+    assert count_gateway_channels(refuse, False, False) == (["RemoteError"] * 3, 1, 1, 3)
+    # a dead session is dropped, so each call handshakes anew
+    assert count_gateway_channels(add, True, False) == (["TransportError"] * 3, 3, 3, 3)
 
 
 def test_gateway_drops_a_dead_session_and_the_next_call_handshakes_anew():

@@ -25,6 +25,7 @@ from enclaveflow.cleanroom import (
     row_to_value,
     unlabel_row,
 )
+from enclaveflow.cli import build_password_program
 from enclaveflow.errors import (
     CryptoError,
     DecodeError,
@@ -34,11 +35,14 @@ from enclaveflow.errors import (
 )
 from enclaveflow.ifc import IfcContext, make_labeled
 from enclaveflow.labels import (
+    CNF,
     CNF_TRUE,
     DC_PUBLIC,
+    Clause,
     DCLabel,
     EMPTY_PRIVILEGE,
     LabeledValue,
+    Principal,
     Privilege,
     cnf,
     read_label,
@@ -341,6 +345,46 @@ def test_upload_reads_only_its_own_label(monkeypatch):
         assert send_row(enclave, ("P1", "P2")[i % 2], "alpha", i % 150) == ResultOk(None)
         per_upload.append(calls - before)
     assert per_upload[0] == per_upload[-1] == 1
+
+
+def test_warm_dispatches_compare_and_hash_no_label_parts(monkeypatch):
+    # Counted, not timed: labels are interned and the label operations
+    # memoized on them, so once warm neither checkpwd nor datasend compares
+    # or hashes a Principal, Clause or CNF.
+    counts: dict[tuple[str, str], int] = {}
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args):
+            key = (cls.__name__, name)
+            counts[key] = counts.get(key, 0) + 1
+            return method(*args)
+
+        return wrapper
+
+    password = App(ENCLAVE_ROLE)
+    build_password_program("password")(password)
+    password.freeze()
+    cleanroom = cleanroom_enclave(X25519PrivateKey.generate().public_key())
+    checks = [encode_call(0, [guess]) for guess in ("password", "hunter2")]
+    uploads = [
+        encode_call(0, [make_labeled(provider_label(owner), ["alpha", 30])])
+        for owner in ("P1", "P2")
+    ]
+    for request in checks:
+        password.dispatch(request)
+    for request in uploads:
+        cleanroom.dispatch(request)
+    for cls in (Principal, Clause, CNF):
+        for name in ("__eq__", "__hash__"):
+            monkeypatch.setattr(cls, name, counting(cls, name))
+    for i in range(200):
+        assert decode_message(password.dispatch(checks[i % 2])) == ResultOk(i % 2 == 0)
+        assert decode_message(cleanroom.dispatch(uploads[i % 2])) == ResultOk(None)
+    assert counts == {}
+    hash(CNF_TRUE)  # the counters are live
+    assert counts == {("CNF", "__hash__"): 1}
 
 
 def test_stored_rows_share_their_labels_in_memory():

@@ -87,6 +87,27 @@ def test_measurement_probe_is_config_sensitive():
     assert _probe_measurement(RunConfig(app="cleanroom")) == c  # deterministic
 
 
+def test_code_version_config_key_changes_the_measurement(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"code_version": "pwd-0.2"}))
+    assert _probe_measurement(RunConfig.from_file(p)) != _probe_measurement(RunConfig())
+    # the default version, named explicitly, attests as the default
+    assert _probe_measurement(RunConfig(code_version="pwd-0.1")) == _probe_measurement(RunConfig())
+
+
+@pytest.mark.parametrize("flag, per_call", [([], False), (["--per-call-handshake"], True)])
+def test_per_call_handshake_flag_reaches_run_app(monkeypatch, flag, per_call):
+    seen = {}
+
+    def fake_run_app(role, program, **kwargs):
+        seen.update(kwargs, role=role)
+
+    monkeypatch.setattr("enclaveflow.cli.run_app", fake_run_app)
+    argv = ["client", "--role", "user", "--port", "7000", "--no-attestation", "--no-client-sig"]
+    assert main(argv + flag) == 0
+    assert seen["role"] == "user" and seen["per_call_channel"] is per_call
+
+
 def test_measurement_config_bytes_is_canonical():
     one = _measurement_config_bytes(RunConfig(app="cleanroom", thresholds={"P2": 1, "P1": 2}))
     two = _measurement_config_bytes(RunConfig(app="cleanroom", thresholds={"P1": 2, "P2": 1}))

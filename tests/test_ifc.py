@@ -429,13 +429,6 @@ def test_constructor_defaults():
     assert ctx.enforce
 
 
-def test_clone_isolates_state():
-    base = IfcContext(P_ALICE)
-    c1, c2 = base.clone(), base.clone()
-    c1.taint(ALICE)
-    assert c2.current == DC_PUBLIC and base.current == DC_PUBLIC
-
-
 # --- enforcement switch ------------------------------------------------------------
 
 

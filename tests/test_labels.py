@@ -342,10 +342,9 @@ def test_label_caches_stay_bounded_under_distinct_labels():
     for fn in CACHED:
         fn.cache_clear()
     svc = Privilege.for_principal("svc")
-    template = IfcContext(svc)
     for i in range(LABEL_CACHE_SIZE + 100):
         lv = make_labeled(DCLabel(cnf_from_principal(f"P{i}"), CNF_TRUE), i)
-        assert template.clone().unlabel_p(svc, lv) == i
+        assert IfcContext(svc).unlabel_p(svc, lv) == i
         assert all(fn.cache_info().currsize <= LABEL_CACHE_SIZE for fn in CACHED)
     assert [fn.cache_info().currsize for fn in CACHED] == [LABEL_CACHE_SIZE] * 2
 

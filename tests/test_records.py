@@ -144,8 +144,6 @@ def test_constructors_take_the_same_positional_and_keyword_arguments():
     )
     ctx = IfcContext(privilege=EMPTY_PRIVILEGE, output=SVC)
     assert (ctx.current, ctx.clearance, ctx.output, ctx.enforce) == (DC_PUBLIC, DC_TOP, SVC, True)
-    clone = ctx.clone()
-    assert clone is not ctx and (clone.privilege, clone.output) == (EMPTY_PRIVILEGE, SVC)
     ref = LabeledRef(label=SVC, cell=5)
     assert (ref.label, ref.cell) == (SVC, 5)
 
