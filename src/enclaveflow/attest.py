@@ -7,10 +7,21 @@ the platform's quoting infrastructure).  Both sides derive AEAD session
 keys from an ephemeral key agreement bound to the handshake transcript.
 Every application byte thereafter rides in sealed, sequence-numbered
 records; nothing is dispatched on a connection that has not authenticated.
+
+A full handshake's attestation also carries a ticket: a resumption secret
+sealed under a key that never leaves the enclave process.  A client that
+reconnects to the same enclave process appends the ticket to its hello;
+the enclave then skips the quote and answers with a fresh key share and a
+proof that it opened the ticket, and the session keys come from the fresh
+key agreement and the resumption secret together (as TLS 1.3 PSK-DHE
+resumption does).  The client's signature is checked on every connection,
+resumed or not.  A ticket the enclave cannot use costs a full handshake,
+never an error.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import socket
 import struct
@@ -53,11 +64,14 @@ __all__ = [
     "MSG_SERVER_ATTEST",
     "MSG_CLIENT_FINISH",
     "MSG_RECORD",
+    "MSG_SERVER_RESUMED",
     "MAX_FRAME",
     "MAX_MESSAGE",
     "KEY_BLOCK_LIMIT",
     "HANDSHAKE_DEADLINE_S",
     "IDLE_TIMEOUT_S",
+    "TICKET_LIFETIME_S",
+    "TICKET_CACHE_SIZE",
     "sha256",
     "compute_measurement",
     "Session",
@@ -80,6 +94,7 @@ MSG_CLIENT_HELLO = 0x10
 MSG_SERVER_ATTEST = 0x11
 MSG_CLIENT_FINISH = 0x12
 MSG_RECORD = 0x13
+MSG_SERVER_RESUMED = 0x14
 
 MAX_FRAME = 1 << 24  # 16 MiB; anything bigger is hostile at this scale
 # the longest message that still fits one frame once sealed: a record adds
@@ -94,6 +109,11 @@ KEY_BLOCK_LIMIT = 1 << 34
 HANDSHAKE_DEADLINE_S = 5.0
 # every read after the handshake: an idle peer gives way to the next one
 IDLE_TIMEOUT_S = 30.0
+# how long a ticket stands in for the quote: past this age the enclave runs
+# a full handshake, so a platform revocation is seen within this long
+TICKET_LIFETIME_S = 300.0
+# the most tickets a client process holds, one per enclave and identity
+TICKET_CACHE_SIZE = 256
 
 _U32 = struct.Struct(">I")
 # a channel's read size: a warm call's whole frame, header and body, in one recv
@@ -337,6 +357,110 @@ def _derive_session(
     return Session(session_id=sid[:16], send_key=send_key, recv_key=recv_key), fin
 
 
+# --- tickets ------------------------------------------------------------------------
+
+# a ticket's plaintext: its issue time, by the enclave process's
+# time.monotonic(), and the resumption secret
+_TICKET_BODY = struct.Struct(">d32s")
+# a ticket on the wire: the last 8 bytes of its nonce (the first 4 are zero,
+# as in a record's), then the sealed body with its 16-byte GCM tag
+_TICKET_LEN = 8 + _TICKET_BODY.size + 16
+
+
+class _TicketKey:
+    """An enclave process's ticket key: AES-256-GCM under a key drawn at
+    construction, which nothing exports.  Each ticket's nonce is the next
+    value of a counter, so no two tickets share one.  The measurement and
+    the client name are the associated data: a ticket opens only in the
+    enclave that issued it and only for the name it was issued to."""
+
+    def __init__(self) -> None:
+        self._aead = AESGCM(os.urandom(32))
+        self._counter = itertools.count()
+
+    def seal(self, measurement: bytes, name: str, secret: bytes) -> bytes:
+        nonce = _NONCE.pack(next(self._counter))
+        body = _TICKET_BODY.pack(time.monotonic(), secret)
+        return nonce[4:] + self._aead.encrypt(nonce, body, measurement + name.encode("utf-8"))
+
+    def open(self, ticket: bytes, measurement: bytes, name: str) -> bytes | None:
+        """The resumption secret in ``ticket``, or None if this key did not
+        seal it for ``measurement`` and ``name`` or it is older than
+        ``TICKET_LIFETIME_S``."""
+        aad = measurement + name.encode("utf-8")
+        try:
+            body = self._aead.decrypt(bytes(4) + ticket[:8], ticket[8:], aad)
+        except InvalidTag:
+            return None
+        issued, secret = _TICKET_BODY.unpack(body)
+        if not 0 <= time.monotonic() - issued <= TICKET_LIFETIME_S:
+            return None
+        return secret
+
+
+class _TicketTable:
+    """A client process's tickets, each with its resumption secret, one per
+    slot (see ``_ticket_slot``).  It holds at most ``TICKET_CACHE_SIZE``
+    entries; a new one evicts the oldest."""
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, tuple[bytes, bytes]] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, slot: tuple) -> tuple[bytes, bytes] | None:
+        return self._entries.get(slot)
+
+    def put(self, slot: tuple, entry: tuple[bytes, bytes]) -> None:
+        with self._lock:
+            self._entries.pop(slot, None)
+            self._entries[slot] = entry
+            while len(self._entries) > TICKET_CACHE_SIZE:
+                del self._entries[next(iter(self._entries))]
+
+    def drop(self, slot: tuple, entry: tuple[bytes, bytes]) -> None:
+        """Forget ``slot``'s ticket if it is still ``entry``: another
+        connection may have put a fresh one there since."""
+        with self._lock:
+            if self._entries.get(slot) is entry:
+                del self._entries[slot]
+
+
+_TICKETS = _TicketTable()
+
+
+def _ticket_slot(
+    host: str,
+    port: int,
+    client_name: str,
+    signing_key: Ed25519PrivateKey | None,
+    expected_measurement: bytes,
+    authority_public: Ed25519PublicKey,
+) -> tuple:
+    """Where ``connect_channel`` keeps a ticket: the enclave's address, the
+    identity the client presents, and the quote it would demand.  A client
+    that pins another measurement or trusts another authority never sends
+    the ticket, and gets a full handshake."""
+    signer = None if signing_key is None else signing_key.public_key().public_bytes_raw()
+    return (
+        host,
+        port,
+        client_name,
+        signer,
+        expected_measurement,
+        authority_public.public_bytes_raw(),
+    )
+
+
+def _resumption_secret(shared: bytes, hello: bytes) -> bytes:
+    """The secret a full handshake's ticket carries: HKDF-SHA256 of the key
+    agreement, salted with the hello's digest, under the label ``res``.
+    The ATTEST message that carries the ticket is no input to it."""
+    return _hmac_sha256(_hmac_sha256(sha256(hello), shared), b"res\x01")
+
+
 # --- handshake --------------------------------------------------------------------
 
 
@@ -349,43 +473,67 @@ def _hello_signed_bytes(nonce: bytes, eph_pub: bytes, name: str) -> bytes:
     return nonce + eph_pub + name.encode("utf-8")
 
 
-def _parse_hello(body: bytes) -> tuple[bytes, str, bytes, bytes]:
+def _parse_hello(body: bytes) -> tuple[bytes, str, bytes, bytes, bytes]:
+    """(nonce, name, key share, signature, ticket); the ticket is empty
+    unless the hello carries one."""
     if len(body) < 1 + 32 + 5 + 32 + 64 or body[0] != MSG_CLIENT_HELLO:
         raise DecodeError("malformed hello")
     # the peer is not yet authenticated: read_string refuses any other value
     # type before decoding, or one hello could make us build a 16 MiB list
     name, end = read_string(body, 33)
-    if len(body) != end + 32 + 64:
+    if len(body) - (end + 32 + 64) not in (0, _TICKET_LEN):
         raise DecodeError("malformed hello length")
-    return body[1:33], name, body[end : end + 32], body[end + 32 :]
+    return body[1:33], name, body[end : end + 32], body[end + 32 : end + 96], body[end + 96 :]
+
+
+_ATTEST_LEN = 1 + 32 + 32 + 32 + 64
 
 
 def _attest_body(eph_pub: bytes, measurement: bytes, report_data: bytes, sig: bytes) -> bytes:
     return bytes([MSG_SERVER_ATTEST]) + eph_pub + measurement + report_data + sig
 
 
-def _parse_attest(body: bytes) -> tuple[bytes, bytes, bytes, bytes]:
-    if len(body) != 1 + 32 + 32 + 32 + 64 or body[0] != MSG_SERVER_ATTEST:
+def _parse_attest(body: bytes) -> tuple[bytes, bytes, bytes, bytes, bytes]:
+    """(key share, measurement, report data, quote signature, ticket); the
+    ticket is empty unless the enclave issued one."""
+    if len(body) not in (_ATTEST_LEN, _ATTEST_LEN + _TICKET_LEN) or body[0] != MSG_SERVER_ATTEST:
         raise DecodeError("malformed attestation message")
-    return body[1:33], body[33:65], body[65:97], body[97:]
+    return body[1:33], body[33:65], body[65:97], body[97:_ATTEST_LEN], body[_ATTEST_LEN:]
+
+
+def _resumed_head(eph_pub: bytes) -> bytes:
+    return bytes([MSG_SERVER_RESUMED]) + eph_pub
+
+
+def _parse_resumed(body: bytes) -> tuple[bytes, bytes]:
+    """(key share, proof)"""
+    if len(body) != 1 + 32 + 32 or body[0] != MSG_SERVER_RESUMED:
+        raise DecodeError("malformed resumption message")
+    return body[1:33], body[33:]
 
 
 def _report_data(eph_pub: bytes, nonce: bytes) -> bytes:
     return sha256(eph_pub, nonce)
 
 
-def _finish_ok(finish: bytes, fin_key: bytes, transcript: bytes) -> bool:
-    """Whether ``finish`` is a FINISH message carrying the transcript's MAC
-    under ``fin_key``; the MAC is compared in constant time."""
-    if len(finish) != 33 or finish[0] != MSG_CLIENT_FINISH:
-        return False
-    mac = hmac.HMAC(fin_key, hashes.SHA256())
-    mac.update(transcript)
+def _mac_ok(key: bytes, data: bytes, mac: bytes) -> bool:
+    """Whether ``mac`` is the HMAC-SHA256 of ``data`` under ``key``,
+    compared in constant time."""
+    h = hmac.HMAC(key, hashes.SHA256())
+    h.update(data)
     try:
-        mac.verify(finish[1:])
+        h.verify(mac)
     except InvalidSignature:
         return False
     return True
+
+
+def _finish_ok(finish: bytes, fin_key: bytes, transcript: bytes) -> bool:
+    """Whether ``finish`` is a FINISH message carrying the transcript's MAC
+    under ``fin_key``."""
+    return len(finish) == 33 and finish[0] == MSG_CLIENT_FINISH and _mac_ok(
+        fin_key, transcript, finish[1:]
+    )
 
 
 def _exchange(priv: X25519PrivateKey, peer_pub: bytes) -> bytes | None:
@@ -405,16 +553,26 @@ def handshake_client(
     signing_key: Ed25519PrivateKey | None,
     expected_measurement: bytes,
     authority_public: Ed25519PublicKey,
+    ticket_slot: tuple | None = None,
 ) -> Session:
     """Client side: send signed hello, verify the quote (signature, then
     measurement, then nonce binding), confirm keys.  Aborts before any
-    application data if any check fails."""
+    application data if any check fails.
+
+    With a ``ticket_slot``, the ticket held there rides on the hello.  An
+    enclave that takes it answers RESUMED in place of a quote; a proof
+    that fails to verify raises AttestationFailure("bad-resumption") and
+    forgets the ticket.  A full handshake keeps the ticket its quote
+    carried, once the quote has verified."""
     nonce = os.urandom(32)
     eph_priv = X25519PrivateKey.generate()
     eph_pub = eph_priv.public_key().public_bytes_raw()
     to_sign = _hello_signed_bytes(nonce, eph_pub, client_name)
     sig = signing_key.sign(to_sign) if signing_key is not None else _ZERO_SIG
     hello = _hello_body(nonce, client_name, eph_pub, sig)
+    held = None if ticket_slot is None else _TICKETS.get(ticket_slot)
+    if held is not None:
+        hello += held[0]
     channel.send_message(hello)
 
     reply = channel.recv_frame()
@@ -424,27 +582,41 @@ def handshake_client(
         if msg.code == ErrorCode.AUTH_FAILURE:
             raise AuthFailure(msg.message)
         raise TransportError(f"handshake refused: {msg.message}")
-    enclave_pub, measurement, report_data, quote_sig = _parse_attest(reply)
 
-    try:
-        authority_public.verify(quote_sig, measurement + report_data)
-    except InvalidSignature:
-        raise AttestationFailure("bad-signature", "quote signature invalid") from None
-    if measurement != expected_measurement:
-        raise AttestationFailure(
-            "measurement-mismatch",
-            f"expected {expected_measurement.hex()} got {measurement.hex()}",
-        )
-    if report_data != _report_data(enclave_pub, nonce):
-        raise AttestationFailure("stale-binding", "quote not bound to our nonce")
+    resumed = held is not None and reply[:1] == bytes([MSG_SERVER_RESUMED])
+    if resumed:
+        enclave_pub, proof = _parse_resumed(reply)
+        if not _mac_ok(held[1], sha256(hello, _resumed_head(enclave_pub)), proof):
+            _TICKETS.drop(ticket_slot, held)
+            raise AttestationFailure("bad-resumption", "resumption proof invalid")
+    else:
+        enclave_pub, measurement, report_data, quote_sig, issued = _parse_attest(reply)
+        try:
+            authority_public.verify(quote_sig, measurement + report_data)
+        except InvalidSignature:
+            raise AttestationFailure("bad-signature", "quote signature invalid") from None
+        if measurement != expected_measurement:
+            raise AttestationFailure(
+                "measurement-mismatch",
+                f"expected {expected_measurement.hex()} got {measurement.hex()}",
+            )
+        if report_data != _report_data(enclave_pub, nonce):
+            raise AttestationFailure("stale-binding", "quote not bound to our nonce")
 
     shared = _exchange(eph_priv, enclave_pub)
     if shared is None:
         raise AttestationFailure("bad-key-share", "enclave key share refused")
     transcript = sha256(hello, reply)
-    client_session, fin_key = _derive_session(shared, transcript, client=True)
+    client_session, fin_key = _derive_session(
+        shared + held[1] if resumed else shared, transcript, client=True
+    )
     mac = _hmac_sha256(fin_key, transcript)
     channel.send_message(bytes([MSG_CLIENT_FINISH]) + mac)
+    if ticket_slot is not None and not resumed:
+        if issued:
+            _TICKETS.put(ticket_slot, (issued, _resumption_secret(shared, hello)))
+        elif held is not None:  # the enclave refused it and issued none
+            _TICKETS.drop(ticket_slot, held)
     return client_session
 
 
@@ -455,6 +627,7 @@ def handshake_server(
     authority_private: Ed25519PrivateKey,
     credentials: dict[str, Ed25519PublicKey],
     verify_client: bool = True,
+    ticket_key: _TicketKey | None = None,
 ) -> tuple[Session, str]:
     """Enclave side: authenticate the hello against provisioned
     credentials, quote our measurement bound to the client's nonce, and
@@ -463,14 +636,23 @@ def handshake_server(
     cannot be agreed with.  All of it must finish within
     ``HANDSHAKE_DEADLINE_S``, or the read that would overrun raises
     TransportError or TimeoutError; the channel's own receive timeout is
-    put back once the handshake succeeds."""
+    put back once the handshake succeeds.
+
+    With a ``ticket_key``, every quote carries a ticket sealed under it,
+    and a hello whose ticket opens under it is answered with RESUMED, a
+    fresh key share and a MAC under the ticket's secret, in place of a
+    quote.  A ticket that does not open costs a full handshake, never a
+    refusal; the client's signature is checked either way."""
     deadline = time.monotonic() + HANDSHAKE_DEADLINE_S
     hello = channel.recv_frame(deadline)
     try:
-        nonce, name, client_eph, client_sig = _parse_hello(hello)
+        nonce, name, client_eph, client_sig, ticket = _parse_hello(hello)
     except DecodeError:
         channel.send_message(encode_result_err(ErrorCode.DECODE_ERROR, "malformed hello"))
         raise
+    secret = None
+    if ticket and ticket_key is not None:
+        secret = ticket_key.open(ticket, measurement, name)
 
     if verify_client:
         cred = credentials.get(name)
@@ -494,12 +676,19 @@ def handshake_server(
         channel.send_message(encode_result_err(ErrorCode.AUTH_FAILURE, "client key share refused"))
         raise AuthFailure("client key share refused")
     eph_pub = eph_priv.public_key().public_bytes_raw()
-    report_data = _report_data(eph_pub, nonce)
-    quote_sig = authority_private.sign(measurement + report_data)
-    attest = _attest_body(eph_pub, measurement, report_data, quote_sig)
-    channel.send_message(attest)
+    if secret is None:
+        report_data = _report_data(eph_pub, nonce)
+        quote_sig = authority_private.sign(measurement + report_data)
+        reply = _attest_body(eph_pub, measurement, report_data, quote_sig)
+        if ticket_key is not None:
+            reply += ticket_key.seal(measurement, name, _resumption_secret(shared, hello))
+    else:
+        head = _resumed_head(eph_pub)
+        reply = head + _hmac_sha256(secret, sha256(hello, head))
+        shared += secret
+    channel.send_message(reply)
 
-    transcript = sha256(hello, attest)
+    transcript = sha256(hello, reply)
     server_session, fin_key = _derive_session(shared, transcript, client=False)
 
     finish = channel.recv_frame(deadline)
@@ -528,7 +717,10 @@ def connect_channel(
 ) -> Channel:
     """A channel to an enclave, attested unless ``attested`` is false.
     ``timeout`` bounds the connect, and then every read and every frame's
-    send, kernel-enforced on a blocking socket."""
+    send, kernel-enforced on a blocking socket.  An attested channel keeps
+    the ticket its first full handshake brings, so later connections with
+    the same arguments resume without a quote while the enclave process
+    takes the ticket."""
     if attested and authority_public is None:
         raise ValueError("attested connection requires the authority public key")
     sock = socket.create_connection((host, port), timeout=timeout)
@@ -545,6 +737,9 @@ def connect_channel(
                 signing_key=signing_key,
                 expected_measurement=expected_measurement,
                 authority_public=authority_public,
+                ticket_slot=_ticket_slot(
+                    host, port, client_name, signing_key, expected_measurement, authority_public
+                ),
             )
     except Exception:
         sock.close()
@@ -559,7 +754,9 @@ class Monitor:
     """Accepts connections in front of a dispatch function.  Connections
     are served one at a time; per-connection failures close just that
     connection.  ``dispatch`` maps raw request message bytes to raw
-    response message bytes and never sees unauthenticated traffic."""
+    response message bytes and never sees unauthenticated traffic.  The
+    ticket key is drawn here and never leaves the monitor: a ticket is good
+    only against the monitor that issued it."""
 
     def __init__(
         self,
@@ -581,6 +778,7 @@ class Monitor:
         self.credentials = credentials or {}
         self.attested = attested
         self.verify_client = verify_client
+        self._ticket_key = _TicketKey()
         self._stop = threading.Event()
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -621,6 +819,7 @@ class Monitor:
                 authority_private=self.authority_private,
                 credentials=self.credentials,
                 verify_client=self.verify_client,
+                ticket_key=self._ticket_key,
             )
         while True:
             try:

@@ -149,6 +149,9 @@ class RunConfig:
             raise UsageError(f"app must be one of {', '.join(APPS)}")
         if len(self.providers) != 2:
             raise UsageError("exactly two providers are supported")
+        # the measurement packs the version's length in two bytes
+        if len(self.code_version.encode("utf-8")) > 0xFFFF:
+            raise UsageError("code_version must be at most 65535 UTF-8 bytes")
         if not self.attestation and self.client_sig:
             raise UsageError(
                 "client signatures require attestation; disable both or neither"

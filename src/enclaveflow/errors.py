@@ -110,7 +110,7 @@ class AttestationFailure(EnclaveFlowError):
     """Enclave attestation evidence was rejected by the client.
 
     ``reason`` is one of ``"bad-signature"``, ``"measurement-mismatch"``,
-    ``"stale-binding"``, ``"bad-key-share"``.
+    ``"stale-binding"``, ``"bad-key-share"``, ``"bad-resumption"``.
     """
 
     def __init__(self, reason: str, detail: str = "") -> None:

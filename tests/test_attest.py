@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import os
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -23,6 +25,8 @@ from enclaveflow.attest import (
     MAX_FRAME,
     MSG_CLIENT_FINISH,
     MSG_RECORD,
+    MSG_SERVER_ATTEST,
+    MSG_SERVER_RESUMED,
     Channel,
     Monitor,
     compute_measurement,
@@ -37,7 +41,12 @@ from enclaveflow.attest import (
     private_raw,
     public_raw,
     save_key_hex,
+    _TICKET_LEN,
+    _TICKETS,
+    _TicketTable,
     _derive_session,
+    _parse_hello,
+    _ticket_slot,
 )
 from enclaveflow.errors import (
     AttestationFailure,
@@ -1296,3 +1305,392 @@ def test_a_finish_with_one_flipped_mac_bit_is_refused(bit):
     assert not slot["thread"].is_alive()
     c.close()
     s.close()
+
+
+# --- resumption: a ticket in place of the quote -----------------------------------------
+
+BOB_KEY = gen_signing_key()
+
+
+class CountingKey:
+    """A signing or verifying key whose sign and verify calls are counted."""
+
+    def __init__(self, key):
+        self.key, self.calls = key, 0
+
+    def sign(self, data: bytes) -> bytes:
+        self.calls += 1
+        return self.key.sign(data)
+
+    def verify(self, sig: bytes, data: bytes) -> None:
+        self.calls += 1
+        self.key.verify(sig, data)
+
+    def __getattr__(self, name: str):
+        return getattr(self.key, name)
+
+
+def slot_of(mon, name: str = "Alice", key=ALICE_KEY) -> tuple:
+    """The table slot ``client_channel(mon, ...)`` keeps its ticket in."""
+    return _ticket_slot("127.0.0.1", mon.port, name, key, MEASUREMENT, AUTHORITY_PUB)
+
+
+def call_once(mon, **kw):
+    """One call on a fresh connection; returns the connection's session."""
+    ch = client_channel(mon, timeout=5.0, **kw)
+    try:
+        ch.send_message(encode_call(3, []))
+        assert decode_message(ch.recv_message()) == decode_message(encode_result_ok(3))
+    finally:
+        ch.close()
+    return ch.session
+
+
+def stop_all(*served) -> None:
+    """Stop each ``(monitor, thread)`` that ``start_monitor`` returned."""
+    for mon, thread in served:
+        mon.stop()
+    for mon, thread in served:
+        thread.join(5)
+        assert not thread.is_alive()
+
+
+def test_a_second_connection_resumes_without_a_quote():
+    authority, authority_pub = CountingKey(AUTHORITY), CountingKey(AUTHORITY_PUB)
+    credential = CountingKey(ALICE_KEY.public_key())
+    mon, thread = start_monitor(authority_private=authority, credentials={"Alice": credential})
+    try:
+        call_once(mon, authority_public=authority_pub)
+        assert (authority.calls, authority_pub.calls, credential.calls) == (1, 1, 1)
+        call_once(mon, authority_public=authority_pub)
+        # no quote signed or verified; the client's signature checked again
+        assert (authority.calls, authority_pub.calls, credential.calls) == (1, 1, 2)
+    finally:
+        stop_all((mon, thread))
+
+
+def test_two_resumptions_of_one_ticket_get_their_own_keys():
+    authority = CountingKey(AUTHORITY)
+    mon, thread = start_monitor(authority_private=authority)
+    try:
+        call_once(mon)
+        entry = _TICKETS.get(slot_of(mon))
+        first, second = call_once(mon), call_once(mon)
+        assert authority.calls == 1 and _TICKETS.get(slot_of(mon)) is entry
+        assert first.session_id != second.session_id
+        assert first.send_key != second.send_key and first.recv_key != second.recv_key
+    finally:
+        stop_all((mon, thread))
+
+
+def _tampered(entry: tuple[bytes, bytes]) -> tuple[bytes, bytes]:
+    ticket, secret = entry
+    return ticket[:20] + bytes([ticket[20] ^ 1]) + ticket[21:], secret
+
+
+@pytest.mark.parametrize("case", ["tampered", "other-monitor", "expired", "other-name"])
+def test_a_ticket_the_enclave_cannot_use_costs_a_full_handshake(case, monkeypatch):
+    # one authority key, one measurement, two monitors: each has its own ticket key
+    authority = CountingKey(AUTHORITY)
+    creds = {"Alice": ALICE_KEY.public_key(), "Bob": BOB_KEY.public_key()}
+    first = start_monitor(authority_private=authority, credentials=creds)
+    other = start_monitor(authority_private=authority, credentials=creds)
+    mon = first[0]
+    try:
+        call_once(mon)  # Alice's full handshake brings her a ticket
+        entry = _TICKETS.get(slot_of(mon))
+        assert entry is not None
+        target, name, key = mon, "Alice", ALICE_KEY
+        if case == "tampered":
+            _TICKETS.put(slot_of(mon), _tampered(entry))
+        elif case == "other-monitor":
+            target = other[0]
+            _TICKETS.put(slot_of(target), entry)
+        elif case == "expired":
+            monkeypatch.setattr("enclaveflow.attest.TICKET_LIFETIME_S", 0.01)
+            time.sleep(0.05)
+        else:
+            name, key = "Bob", BOB_KEY
+            _TICKETS.put(slot_of(target, name, key), entry)
+        quotes = authority.calls
+        call_once(target, client_name=name, signing_key=key)  # served, not refused
+        assert authority.calls == quotes + 1
+        monkeypatch.undo()
+        # the fallback's quote carried a fresh ticket, and it resumes
+        assert _TICKETS.get(slot_of(target, name, key)) not in (None, entry)
+        call_once(target, client_name=name, signing_key=key)
+        assert authority.calls == quotes + 1
+    finally:
+        stop_all(first, other)
+
+
+def _full_then_resumed_enclave(listener, ticket: bytes, seen: dict, good_proof: bool):
+    """Play the enclave by hand for three connections: a full handshake
+    whose quote carries ``ticket``, then a RESUMED with a right or wrong
+    proof, then only read the third hello.  Records what it saw."""
+
+    def accept():
+        conn, _ = listener.accept()
+        conn.settimeout(5.0)
+        return conn, Channel(conn)
+
+    conn, ch = accept()
+    with conn:
+        hello = seen["hello1"] = ch.recv_frame()
+        nonce, share = hello[1:33], hello[-96:-64]
+        eph = X25519PrivateKey.generate()
+        eph_pub = eph.public_key().public_bytes_raw()
+        report_data = hashlib.sha256(eph_pub + nonce).digest()
+        quote = AUTHORITY.sign(MEASUREMENT + report_data)
+        ch.send_message(b"\x11" + eph_pub + MEASUREMENT + report_data + quote + ticket)
+        shared = eph.exchange(X25519PublicKey.from_public_bytes(share))
+        seen["secret"] = hkdf(shared, hashlib.sha256(hello).digest(), b"res")
+        ch.recv_frame()  # FINISH
+
+    conn, ch = accept()
+    with conn:
+        hello = seen["hello2"] = ch.recv_frame()
+        eph = X25519PrivateKey.generate()
+        head = bytes([MSG_SERVER_RESUMED]) + eph.public_key().public_bytes_raw()
+        proof = hmac.new(seen["secret"], hashlib.sha256(hello + head).digest(), hashlib.sha256)
+        resumed = head + (proof.digest() if good_proof else os.urandom(32))
+        ch.send_message(resumed)
+        share = _parse_hello(hello)[2]
+        shared = eph.exchange(X25519PublicKey.from_public_bytes(share))
+        seen["shared2"], seen["transcript2"] = shared, hashlib.sha256(hello + resumed).digest()
+        try:
+            seen["finish2"] = ch.recv_frame()
+        except TransportError:
+            seen["finish2"] = None  # the client hung up
+
+    conn, ch = accept()
+    with conn:
+        seen["hello3"] = ch.recv_frame()
+
+
+@pytest.mark.parametrize("good_proof", [True, False], ids=["right-proof", "wrong-proof"])
+def test_a_resumption_is_keyed_by_both_secrets_and_a_wrong_proof_forgets_the_ticket(good_proof):
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)  # a client that never comes ends the enclave thread
+    ticket, seen = os.urandom(_TICKET_LEN), {}
+    enclave = threading.Thread(
+        target=_full_then_resumed_enclave, args=(listener, ticket, seen, good_proof), daemon=True
+    )
+    enclave.start()
+    connect = functools.partial(
+        connect_channel,
+        "127.0.0.1",
+        listener.getsockname()[1],
+        client_name="Alice",
+        signing_key=ALICE_KEY,
+        expected_measurement=MEASUREMENT,
+        authority_public=AUTHORITY_PUB,
+        timeout=5.0,
+    )
+    try:
+        connect().close()
+        if good_proof:
+            resumed = connect()
+            resumed.close()
+        else:
+            with pytest.raises(AttestationFailure) as exc:
+                connect()
+            assert exc.value.reason == "bad-resumption"
+        with pytest.raises(TransportError):
+            connect()  # the third enclave reads the hello and hangs up
+    finally:
+        enclave.join(5)
+        listener.close()
+    assert not enclave.is_alive()
+
+    # the resumed hello is a full hello, signature included, then the ticket
+    nonce, name, share, sig, carried = _parse_hello(seen["hello2"])
+    ALICE_KEY.public_key().verify(sig, nonce + share + b"Alice")
+    assert (name, carried) == ("Alice", ticket)
+    if good_proof:
+        # HKDF over the fresh X25519 secret followed by the ticket's secret
+        shared, transcript = seen["shared2"] + seen["secret"], seen["transcript2"]
+        fin = hkdf(shared, transcript, b"fin")
+        assert seen["finish2"] == bytes([MSG_CLIENT_FINISH]) + hmac.new(
+            fin, transcript, hashlib.sha256
+        ).digest()
+        assert resumed.session.send_key == hkdf(shared, transcript, b"c2s")
+        assert seen["hello3"].endswith(ticket)  # still held
+    else:
+        assert seen["finish2"] is None  # no FINISH after a wrong proof
+        assert len(seen["hello3"]) == len(seen["hello1"])  # and the ticket is gone
+
+
+class RecordingSocket:
+    """A real socket whose sent frames are kept."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock, self.sent = sock, []
+
+    def send(self, data: bytes) -> int:
+        self.sent.append(bytes(data))
+        return self.sock.send(data)
+
+    def __getattr__(self, name: str):
+        return getattr(self.sock, name)
+
+
+def test_a_replayed_resumed_hello_is_refused_at_finish():
+    mon, thread = start_monitor()
+    try:
+        call_once(mon)  # a ticket for Alice
+        raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
+        recording = RecordingSocket(raw)
+        handshake_client(
+            Channel(recording),
+            client_name="Alice",
+            signing_key=ALICE_KEY,
+            expected_measurement=MEASUREMENT,
+            authority_public=AUTHORITY_PUB,
+            ticket_slot=slot_of(mon),
+        )
+        raw.close()
+        hello, finish = recording.sent
+        assert len(hello) - 4 == len(signed_hello(bytes(32))) + _TICKET_LEN
+
+        replayer = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
+        replayer.sendall(hello)
+        frames = Channel(replayer)
+        assert frames.recv_frame()[0] == MSG_SERVER_RESUMED  # the ticket and signature pass
+        replayer.sendall(finish)  # but the old FINISH does not
+        assert decode_message(frames.recv_frame()) == ResultErr(
+            ErrorCode.AUTH_FAILURE, "key confirmation failed"
+        )
+        replayer.close()
+        assert_still_serving(mon)
+    finally:
+        stop_all((mon, thread))
+
+
+def test_a_valid_ticket_does_not_stand_in_for_the_client_signature():
+    mon, thread = start_monitor(credentials=dict(CREDS))
+    try:
+        call_once(mon)
+        ticket, _ = _TICKETS.get(slot_of(mon))
+        share = X25519PrivateKey.generate().public_key().public_bytes_raw()
+        for key, expected_tag in ((ALICE_KEY, MSG_SERVER_RESUMED), (BOB_KEY, None)):
+            raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
+            send_frame(raw, signed_hello(share, key=key) + ticket)
+            reply = Channel(raw).recv_frame()
+            raw.close()
+            if expected_tag is not None:  # the control: Alice's own signature resumes
+                assert reply[0] == expected_tag
+            else:  # mis-signed
+                assert decode_message(reply) == ResultErr(
+                    ErrorCode.AUTH_FAILURE, "client authentication failed"
+                )
+        mon.credentials.pop("Alice")  # no longer provisioned; her ticket still opens
+        assert _TICKETS.get(slot_of(mon)) is not None
+        with pytest.raises(AuthFailure):
+            call_once(mon)
+    finally:
+        stop_all((mon, thread))
+
+
+LENGTH_EXTRAS = [0, 1, 32, _TICKET_LEN - 1, _TICKET_LEN, _TICKET_LEN + 1, 2 * _TICKET_LEN]
+
+
+@pytest.mark.parametrize("extra", LENGTH_EXTRAS)
+def test_a_hello_is_one_of_two_lengths(extra):
+    mon, thread = start_monitor()
+    try:
+        raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
+        share = X25519PrivateKey.generate().public_key().public_bytes_raw()
+        send_frame(raw, signed_hello(share) + os.urandom(extra))
+        reply = Channel(raw).recv_frame()
+        raw.close()
+        if extra in (0, _TICKET_LEN):
+            assert reply[0] == MSG_SERVER_ATTEST  # a ticket that does not open: a full handshake
+        else:
+            assert decode_message(reply) == ResultErr(ErrorCode.DECODE_ERROR, "malformed hello")
+        assert_still_serving(mon)
+    finally:
+        stop_all((mon, thread))
+
+
+@pytest.mark.parametrize("extra", LENGTH_EXTRAS)
+def test_an_attest_is_one_of_two_lengths(extra):
+    c, s = spair()
+
+    def fake_enclave():
+        frames = Channel(s)
+        hello = frames.recv_frame()
+        nonce, share = hello[1:33], hello[-96:-64]
+        eph_pub = X25519PrivateKey.generate().public_key().public_bytes_raw()
+        report_data = hashlib.sha256(eph_pub + nonce).digest()
+        quote = AUTHORITY.sign(MEASUREMENT + report_data)
+        send_frame(s, b"\x11" + eph_pub + MEASUREMENT + report_data + quote + os.urandom(extra))
+        try:
+            frames.recv_frame()  # a FINISH, or the client hanging up
+        except TransportError:
+            pass
+
+    t = threading.Thread(target=fake_enclave)
+    t.start()
+    try:
+        handshake = functools.partial(
+            handshake_client,
+            Channel(c),
+            client_name="Alice",
+            signing_key=ALICE_KEY,
+            expected_measurement=MEASUREMENT,
+            authority_public=AUTHORITY_PUB,
+        )
+        if extra in (0, _TICKET_LEN):
+            handshake()
+        else:
+            with pytest.raises(DecodeError, match="malformed attestation"):
+                handshake()
+    finally:
+        c.close()
+        t.join(5)
+        s.close()
+    assert not t.is_alive()
+
+
+def test_the_client_ticket_table_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr("enclaveflow.attest.TICKET_CACHE_SIZE", 4)
+    mon, thread = start_monitor(verify_client=False, credentials={})
+    try:
+        for i in range(10):
+            call_once(mon, client_name=f"peer-{i}", signing_key=None)
+            assert len(_TICKETS) <= 4
+        assert _TICKETS.get(slot_of(mon, "peer-9", None)) is not None
+        assert _TICKETS.get(slot_of(mon, "peer-0", None)) is None
+    finally:
+        stop_all((mon, thread))
+
+
+def test_threads_that_share_a_ticket_table_keep_it_within_its_bound(monkeypatch):
+    monkeypatch.setattr("enclaveflow.attest.TICKET_CACHE_SIZE", 4)
+    table, threads, rounds = _TicketTable(), 8, 2000
+    errors: list[BaseException] = []
+
+    def churn(t: int) -> None:
+        try:
+            for i in range(rounds):
+                slot, entry = (t, i % 7), (b"ticket", bytes([t]))
+                table.put(slot, entry)
+                assert len(table) <= 4
+                if table.get(slot) is entry and i % 3 == 0:
+                    table.drop(slot, entry)
+        except BaseException as e:  # noqa: BLE001 - surfaced below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == [] and len(table) <= 4

@@ -56,6 +56,7 @@ def test_config_rejects_bad_values(tmp_path):
         {"app": "wordle"},
         {"attestation": False},  # leaves client_sig on
         {"providers": ["P1"]},
+        {"code_version": "v" * 70_000},  # its length must fit the measurement's u16
     ):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
