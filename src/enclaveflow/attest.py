@@ -620,6 +620,12 @@ def handshake_client(
     return client_session
 
 
+def _refuse(channel: Channel, reason: str) -> AuthFailure:
+    """Send the pre-session AUTH_FAILURE refusal and return the error to raise."""
+    channel.send_message(encode_result_err(ErrorCode.AUTH_FAILURE, reason))
+    return AuthFailure(reason)
+
+
 def handshake_server(
     channel: Channel,
     *,
@@ -655,26 +661,16 @@ def handshake_server(
         secret = ticket_key.open(ticket, measurement, name)
 
     if verify_client:
-        cred = credentials.get(name)
-        ok = False
-        if cred is not None:
-            try:
-                cred.verify(client_sig, _hello_signed_bytes(nonce, client_eph, name))
-                ok = True
-            except InvalidSignature:
-                ok = False
-        if not ok:
-            channel.send_message(
-                encode_result_err(ErrorCode.AUTH_FAILURE, "client authentication failed")
-            )
-            raise AuthFailure(f"client {name!r} failed authentication")
+        try:
+            credentials[name].verify(client_sig, _hello_signed_bytes(nonce, client_eph, name))
+        except (KeyError, InvalidSignature):
+            raise _refuse(channel, "client authentication failed") from None
 
     eph_priv = X25519PrivateKey.generate()
     # agree before quoting: a share we refuse gets a refusal, not a quote
     shared = _exchange(eph_priv, client_eph)
     if shared is None:
-        channel.send_message(encode_result_err(ErrorCode.AUTH_FAILURE, "client key share refused"))
-        raise AuthFailure("client key share refused")
+        raise _refuse(channel, "client key share refused")
     eph_pub = eph_priv.public_key().public_bytes_raw()
     if secret is None:
         report_data = _report_data(eph_pub, nonce)
@@ -693,10 +689,7 @@ def handshake_server(
 
     finish = channel.recv_frame(deadline)
     if not _finish_ok(finish, fin_key, transcript):
-        channel.send_message(
-            encode_result_err(ErrorCode.AUTH_FAILURE, "key confirmation failed")
-        )
-        raise AuthFailure("key confirmation failed")
+        raise _refuse(channel, "key confirmation failed")
     _set_timeout(channel.sock, socket.SO_RCVTIMEO, channel.timeout)
     return server_session, name
 

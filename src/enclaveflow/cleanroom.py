@@ -78,14 +78,11 @@ def row_to_value(row: Row) -> list:
 
 
 def row_from_value(v: Value) -> Row:
-    """Strict: the wire form is exactly [strain, age]."""
+    """Strict: the wire form is exactly [strain, age]; ``Row`` checks the fields."""
     if not isinstance(v, list) or len(v) != 2:
         raise DecodeError("row must be a [strain, age] pair")
-    strain, age = v
-    if not isinstance(strain, str) or not isinstance(age, int) or isinstance(age, bool):
-        raise DecodeError("row fields have the wrong types")
     try:
-        return Row(strain, age)
+        return Row(*v)
     except UsageError as e:
         raise DecodeError(str(e)) from e
 

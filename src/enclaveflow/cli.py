@@ -19,6 +19,7 @@ import contextlib
 import functools
 import json
 import random
+import signal
 import socket
 import sys
 import threading
@@ -58,7 +59,7 @@ from .errors import (
 )
 from .ifc import IfcContext
 from .labels import DCLabel, EMPTY_PRIVILEGE, Privilege, cnf_from_principal
-from .wire import ResultOk, Value, decode_message, encode_call, encode_value
+from .wire import Value, encode_value
 
 SERVICE_PRINCIPAL = "svc"
 APPS = ("password-checker", "cleanroom", "attack-demo")
@@ -426,6 +427,8 @@ def cmd_enclave(args: argparse.Namespace) -> int:
 
     monitor = _stage_enclave(cfg, authority_private, credentials)
     try:  # from the announcement on, SIGINT is a clean stop
+        # even if started with SIGINT ignored, like a non-interactive shell's background job
+        signal.signal(signal.SIGINT, signal.default_int_handler)
         print(
             f"ENCLAVE LISTENING {monitor.host} {monitor.port} {monitor.measurement.hex()}",
             flush=True,
@@ -478,8 +481,8 @@ def cmd_client(args: argparse.Namespace) -> int:
 
 # Three comparison groups: IFC guards over a plain channel, the attested
 # channel against the plain baseline, and client signatures within the
-# attested group.  Every attested config redoes the handshake per call, so
-# the table prices the handshake itself, not a warm session.
+# attested group.  Each sample is one ``App.gateway`` call on a fresh per-call
+# channel, so the attested configs price the handshake, not a warm session.
 BENCH_CONFIGS: list[tuple[str, bool, bool, bool]] = [
     # (label, attested, client_sig, ifc)
     ("ifc-off", False, False, False),
@@ -497,28 +500,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.iterations < 1:
         raise UsageError("iterations must be >= 1")
     cfg = RunConfig(app="password-checker", port=0)
-    request = encode_call(0, [cfg.password])
-
-    def one_call(label: str, connect) -> tuple[float, bytes]:
-        t0 = time.perf_counter()
-        channel = connect()
-        try:
-            channel.send_message(request)
-            raw = channel.recv_message()
-        finally:
-            channel.close()
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        if decode_message(raw) != ResultOk(True):
-            raise TransportError(f"{label}: unexpected bench reply")
-        return elapsed_ms, raw
-
     rows = [
         RunConfig(**{**vars(cfg), "attestation": attested, "client_sig": client_sig, "ifc": ifc})
         for _, attested, client_sig, ifc in BENCH_CONFIGS
     ]
     with _inprocess_enclaves(rows) as served:
-        connects = {
-            label: functools.partial(connect, monitor.port)
+        targets = {
+            label: (connect, monitor.port)
             for (label, *_), (monitor, connect) in zip(BENCH_CONFIGS, served)
         }
 
@@ -528,15 +516,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # slower and a fixed order would charge that to one config.  The
         # first rounds warm the stack.
         warmup = 3
-        samples: dict[str, list[float]] = {label: [] for label, *_ in BENCH_CONFIGS}
-        payloads: dict[str, bytes] = {}
+        samples: dict[str, list[float]] = {label: [] for label in targets}
         for round_no in range(warmup + args.iterations):
-            for label in random.Random(round_no).sample(list(connects), len(connects)):
-                elapsed_ms, payloads[label] = one_call(label, connects[label])
+            for label in random.Random(round_no).sample(list(targets), len(targets)):
+                t0 = time.perf_counter()
+                reply = _drill_call(*targets[label], [cfg.password])
+                elapsed_ms = (time.perf_counter() - t0) * 1e3
+                if reply is not True:
+                    raise TransportError(f"{label}: unexpected bench reply")
                 if round_no >= warmup:
                     samples[label].append(elapsed_ms)
-    if payloads["ifc-on"] != payloads["ifc-off"]:
-        raise TransportError("ifc-on and ifc-off produced different result payloads")
 
     print("config,mean_ms,stddev_ms,samples")
     for label, *_ in BENCH_CONFIGS:

@@ -265,11 +265,12 @@ def write_password_setup(tmp_path: Path) -> Path:
     return path
 
 
-def spawn_enclave(config: Path, *extra: str) -> tuple[subprocess.Popen, int, str]:
+def spawn_enclave(config: Path, *extra: str, **popen) -> tuple[subprocess.Popen, int, str]:
     proc = subprocess.Popen(
         PYTHON + ["enclave", "--config", str(config), "--port", "0", *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
+        **popen,
     )
     deadline = time.monotonic() + 15
     line = ""
@@ -335,6 +336,25 @@ def test_enclave_exits_cleanly_on_sigint(tmp_path):
     try:
         proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=10) == 0
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+def test_enclave_exits_cleanly_on_sigint_when_started_with_it_ignored(tmp_path):
+    # a non-interactive shell starts its background jobs with SIGINT ignored
+    config = tmp_path / "plain.json"
+    config.write_text(json.dumps({"app": "password-checker"}))
+    proc, _, _ = spawn_enclave(
+        config,
+        "--no-attestation",
+        "--no-client-sig",
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=5) == 0
     finally:
         proc.kill()
         proc.wait(timeout=10)
@@ -418,6 +438,23 @@ def test_bench_csv_shape(capsys):
         assert float(cells[1]) > 0 and float(cells[2]) >= 0
         assert cells[3] == "3"
     assert labels == [label for label, *_ in BENCH_CONFIGS]
+
+
+def test_bench_times_each_sample_as_one_gateway_call(monkeypatch, capsys):
+    calls = []
+    real = App.gateway
+
+    def counting(self, s):
+        calls.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(App, "gateway", counting)
+    assert main(["bench", "--iterations", "2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "config,mean_ms,stddev_ms,samples"
+    assert [line.split(",")[0] for line in lines[1:]] == [label for label, *_ in BENCH_CONFIGS]
+    assert all(line.endswith(",2") for line in lines[1:])
+    assert len(calls) == len(BENCH_CONFIGS) * (3 + 2)  # three warm-up rounds
 
 
 def test_bench_signs_only_where_the_enclave_verifies(monkeypatch, capsys):
