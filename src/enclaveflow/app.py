@@ -280,12 +280,15 @@ class App:
         tpl = entry.template
         ctx = IfcContext(tpl.privilege, tpl.current, tpl.clearance, tpl.output, self.ifc_enforce)
         assert entry.fn is not None
+        gate_open = False
         try:
             result = entry.fn(ctx, *msg.args)
-            if ctx.output_gate():
+            gate_open = ctx.output_gate()
+            if gate_open:
                 return encode_result_ok(result, MAX_MESSAGE, ctx.output if ctx.enforce else None)
         except Exception as e:  # noqa: BLE001 - opaque by design: no leakage via errors
-            if ctx.output_gate():
+            # the gate is consulted once: after the function returns, or as it raised
+            if gate_open or ctx.output_gate():
                 return next(_ERROR_RESPONSES[t] for t in type(e).__mro__ if t in _ERROR_RESPONSES)
         return _IFC_VIOLATION_RESPONSE
 

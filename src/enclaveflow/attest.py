@@ -270,6 +270,14 @@ def _hmac_sha256(key: bytes, data: bytes) -> bytes:
     return mac.finalize()
 
 
+def _hkdf(salt: bytes, secret: bytes, *infos: bytes) -> list[bytes]:
+    """HKDF-SHA256 (RFC 5869), one 32-byte key per info: one Extract, then
+    a one-block Expand per info, which is all of Expand for an output of at
+    most 32 bytes.  Every key the package derives comes from here."""
+    prk = _hmac_sha256(salt, secret)
+    return [_hmac_sha256(prk, info + b"\x01") for info in infos]
+
+
 def compute_measurement(
     code_version: str, table: Sequence[tuple[int, str]], config_bytes: bytes
 ) -> bytes:
@@ -344,15 +352,9 @@ def _derive_session(
     shared: bytes, transcript: bytes, *, client: bool
 ) -> tuple[Session, bytes]:
     """Returns (the caller's session, finish_mac_key).  The client sends
-    under the c2s key and the server under the s2c key.
-
-    HKDF-SHA256 (RFC 5869) with the transcript as salt and each label as
-    info: one Extract, then a one-block Expand per label, which is all of
-    Expand for an output of at most 32 bytes."""
-    prk = _hmac_sha256(transcript, shared)
-    c2s, s2c, fin, sid = (
-        _hmac_sha256(prk, label + b"\x01") for label in (b"c2s", b"s2c", b"fin", b"sid")
-    )
+    under the c2s key and the server under the s2c key, all of them HKDF
+    keys with the transcript as salt and a label as info."""
+    c2s, s2c, fin, sid = _hkdf(transcript, shared, b"c2s", b"s2c", b"fin", b"sid")
     send_key, recv_key = (c2s, s2c) if client else (s2c, c2s)
     return Session(session_id=sid[:16], send_key=send_key, recv_key=recv_key), fin
 
@@ -458,7 +460,7 @@ def _resumption_secret(shared: bytes, hello: bytes) -> bytes:
     """The secret a full handshake's ticket carries: HKDF-SHA256 of the key
     agreement, salted with the hello's digest, under the label ``res``.
     The ATTEST message that carries the ticket is no input to it."""
-    return _hmac_sha256(_hmac_sha256(sha256(hello), shared), b"res\x01")
+    return _hkdf(sha256(hello), shared, b"res")[0]
 
 
 # --- handshake --------------------------------------------------------------------

@@ -18,15 +18,14 @@ from pathlib import Path
 from typing import Callable, TextIO
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .app import App
+from .attest import _exchange, _hkdf
 from .errors import CryptoError, DecodeError, NotReady, Record, UsageError
 from .ifc import IfcContext, make_labeled
 from .labels import (
@@ -126,34 +125,31 @@ def psi_mean_age(
     return [(strain, s / n) for strain, (s, n) in sorted(totals.items()) if strain in common]
 
 
-# --- result encryption: ephemeral key agreement + AEAD -----------------------------
-
-_ENVELOPE_INFO = b"dcr-result-v1"
+# --- result encryption: the transport's key agreement, HKDF and AEAD --------------
 
 
-def _envelope_key(shared: bytes) -> bytes:
-    return HKDF(
-        algorithm=hashes.SHA256(), length=32, salt=None, info=_ENVELOPE_INFO
-    ).derive(shared)
+def _envelope_aead(priv: X25519PrivateKey, peer_share: bytes) -> AESGCM:
+    """AES-256-GCM under the HKDF key of the X25519 agreement, which
+    refuses a low-order share.  The key is one-shot, so the zero nonce is
+    safe."""
+    shared = _exchange(priv, peer_share)
+    if shared is None:
+        raise CryptoError("envelope key share refused")
+    return AESGCM(_hkdf(b"", shared, b"dcr-result-v2")[0])
 
 
 def encrypt_result(public_key: X25519PublicKey, plaintext: bytes) -> bytes:
-    """Envelope = ephemeral public key (32) ‖ AEAD ciphertext.  The key is
-    one-shot, so the zero nonce is safe."""
+    """Envelope = ephemeral public key (32) ‖ AES-256-GCM ciphertext."""
     eph = X25519PrivateKey.generate()
-    key = _envelope_key(eph.exchange(public_key))
-    ct = ChaCha20Poly1305(key).encrypt(bytes(12), plaintext, None)
-    return eph.public_key().public_bytes_raw() + ct
+    aead = _envelope_aead(eph, public_key.public_bytes_raw())
+    return eph.public_key().public_bytes_raw() + aead.encrypt(bytes(12), plaintext, None)
 
 
 def decrypt_result(private_key: X25519PrivateKey, envelope: bytes) -> bytes:
     if len(envelope) < 32 + 16:
         raise CryptoError("envelope too short")
-    key = _envelope_key(
-        private_key.exchange(X25519PublicKey.from_public_bytes(envelope[:32]))
-    )
     try:
-        return ChaCha20Poly1305(key).decrypt(bytes(12), envelope[32:], None)
+        return _envelope_aead(private_key, envelope[:32]).decrypt(bytes(12), envelope[32:], None)
     except InvalidTag as e:
         raise CryptoError("envelope failed to decrypt") from e
 

@@ -146,6 +146,16 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
+        # each field has exactly its default's type, so a bool is no int, and
+        # list items and dict values are strings, but for the row thresholds
+        for key, default in vars(RunConfig()).items():
+            value = getattr(self, key)
+            items = value.values() if isinstance(value, dict) else value
+            item = int if key == "thresholds" else str
+            if type(value) is not type(default) or (
+                isinstance(value, (list, dict)) and any(type(v) is not item for v in items)
+            ):
+                raise UsageError(f"config key {key} has the wrong type")
         if self.app not in APPS:
             raise UsageError(f"app must be one of {', '.join(APPS)}")
         if len(self.providers) != 2:
@@ -188,7 +198,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 def _code_version(cfg: RunConfig) -> str:
     if cfg.code_version:
         return cfg.code_version
-    return {"password-checker": "pwd-0.1", "cleanroom": "dcr-0.1", "attack-demo": "leak-0.1"}[cfg.app]
+    return {"password-checker": "pwd-0.1", "cleanroom": "dcr-0.2", "attack-demo": "leak-0.1"}[cfg.app]
 
 
 def _measurement_config_bytes(cfg: RunConfig) -> bytes:

@@ -457,6 +457,15 @@ def test_a_returned_labeled_value_obeys_the_output_gate(leak):
     assert decode_message(app.dispatch(encode_call(0, []))) == IFC_VIOLATION
 
 
+def test_a_refused_result_label_consults_the_output_gate_once(monkeypatch):
+    app = returning_program(LEAKS["in a list"])
+    calls = []
+    gate = IfcContext.output_gate
+    monkeypatch.setattr(IfcContext, "output_gate", lambda ctx: calls.append(ctx) or gate(ctx))
+    assert decode_message(app.dispatch(encode_call(0, []))) == IFC_VIOLATION
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("leak", list(LEAKS))
 def test_a_returned_labeled_value_leaves_with_ifc_off(leak):
     app = returning_program(LEAKS[leak], ifc_enforce=False)

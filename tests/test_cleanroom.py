@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import hmac
 import io
 import random
 import tracemalloc
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from enclaveflow.app import ENCLAVE_ROLE, App, DirectChannel, run_app
 from enclaveflow.cleanroom import (
@@ -219,6 +222,20 @@ def test_envelope_tamper_fails():
             decrypt_result(key, bytes(tampered))
     with pytest.raises(CryptoError):
         decrypt_result(key, b"short")
+    # low-order shares, whose agreement is the all-zero secret
+    for share in (bytes(32), b"\x01" + bytes(31)):
+        with pytest.raises(CryptoError):
+            decrypt_result(key, share + bytes(env[32:]))
+
+
+def test_envelope_is_aes_gcm_under_the_hkdf_of_the_agreement():
+    key = X25519PrivateKey.generate()
+    env = encrypt_result(key.public_key(), b"secret table")
+    shared = key.exchange(X25519PublicKey.from_public_bytes(env[:32]))
+    # RFC 5869 HKDF-SHA256, salt b"" and info dcr-result-v2, one 32-byte block
+    prk = hmac.new(b"", shared, hashlib.sha256).digest()
+    aes_key = hmac.new(prk, b"dcr-result-v2\x01", hashlib.sha256).digest()
+    assert AESGCM(aes_key).decrypt(bytes(12), env[32:], None) == b"secret table"
 
 
 def test_format_result():

@@ -57,6 +57,12 @@ def test_config_rejects_bad_values(tmp_path):
         {"attestation": False},  # leaves client_sig on
         {"providers": ["P1"]},
         {"code_version": "v" * 70_000},  # its length must fit the measurement's u16
+        {"port": "7000"},  # bind would raise TypeError
+        {"providers": "P1"},  # a string of two characters is no list of two names
+        {"ifc": 1},  # a bool field takes no int
+        {"port": True},  # nor an int field a bool
+        {"thresholds": {"P1": "2"}},
+        {"client_keys": {"P1": 7}},
     ):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
@@ -504,6 +510,9 @@ NOT_IN_ANY_ENCLAVE = {
     "cryptography.hazmat.primitives.serialization",
     "dataclasses",
     "inspect",
+    # every key comes from attest's one HKDF helper
+    "cryptography.hazmat.primitives.kdf",
+    "cryptography.hazmat.primitives.kdf.hkdf",
 }
 
 STAGE_ONLY = """
