@@ -61,6 +61,14 @@ _ERROR_RESPONSES = {
 }
 
 
+def _measured(what: str, text: str) -> str:
+    """``text``, if the measurement can carry it: it packs the UTF-8 length
+    of the code version and of each function name in two bytes."""
+    if len(text.encode("utf-8")) > 0xFFFF:
+        raise UsageError(f"{what} must be at most 65535 UTF-8 bytes")
+    return text
+
+
 class SecureRef(Record):
     """Client-side handle to a registered enclave function: the call id,
     the declared arity, and arguments collected so far (already encoded)."""
@@ -164,7 +172,7 @@ class App:
         if not role:
             raise UsageError("role must be non-empty")
         self.role = role
-        self.code_version = code_version
+        self.code_version = _measured("code_version", code_version)
         self.ifc_enforce = ifc_enforce
         self._gateway_factory = gateway_factory
         self._per_call_channel = per_call_channel
@@ -188,8 +196,9 @@ class App:
     ) -> SecureRef:
         """Register an enclave function; every role assigns it the same
         call id.  Outside the enclave only the id and arity survive.  Each
-        argument is declared as a wire type or None; any other spec raises
-        UsageError here, before any call."""
+        argument is declared as a wire type or None; any other spec, and a
+        name longer than the measurement carries, raises UsageError here,
+        before any call."""
         self._check_staging()
         arg_types = tuple(arg_types)
         for spec in arg_types:
@@ -198,7 +207,7 @@ class App:
         call_id = len(self._entries)
         entry = _FnEntry(
             call_id=call_id,
-            name=name or getattr(fn, "__name__", f"fn{call_id}"),
+            name=_measured("function name", name or getattr(fn, "__name__", f"fn{call_id}")),
             arg_types=arg_types,
             template=template,
             fn=fn if self.role == ENCLAVE_ROLE else None,

@@ -153,9 +153,11 @@ def _set_timeout(sock: socket.socket, option: int, seconds: float | None) -> Non
 class Channel:
     """A socket, its receive buffer, and the session that seals its
     records once a handshake has set one; without a session, messages
-    travel as plain frames.  The handshake and the records read through
-    the same buffer, so bytes that follow a handshake frame wait for the
-    next message.
+    travel as plain frames.  The channel owns the frame, a u32 length and
+    then the body: ``_send`` writes it and ``recv_frame`` reads it.  The
+    session owns the record inside it.  The handshake and the records
+    read through the same buffer, so bytes that follow a handshake frame
+    wait for the next message.
 
     With a ``timeout``, the socket must be blocking, and the kernel bounds
     every read by it, and every frame's whole send too (see ``_send``).
@@ -209,24 +211,25 @@ class Channel:
         return bytes(body)
 
     def send_message(self, body: bytes) -> None:
-        if self.session is None:
-            self._send(_U32.pack(len(body)) + body)
-        else:
-            self._send(self.session.seal_frame(body))
+        """One frame, holding ``body`` sealed once the channel has a session."""
+        if self.session is not None:
+            body = self.session.seal(body)
+        self._send(body)
 
     def recv_message(self) -> bytes:
         body = self.recv_frame()
         return body if self.session is None else self.session.open(body)
 
-    def _send(self, frame: bytes) -> None:
-        """Write one whole frame, header included.  One ``send`` normally
-        takes all of it.  After a partial send, the rest goes out within
-        what is left of the timeout, counted from the frame's start: the
-        kernel bounds each ``send`` on its own, so a peer that reads a
-        little at a time could otherwise stretch one frame for as long as
-        it keeps reading."""
-        if len(frame) - 4 > MAX_FRAME:
+    def _send(self, body: bytes) -> None:
+        """Write ``body`` as one whole frame: its u32 length, then it.  One
+        ``send`` normally takes all of it.  After a partial send, the rest
+        goes out within what is left of the timeout, counted from the
+        frame's start: the kernel bounds each ``send`` on its own, so a peer
+        that reads a little at a time could otherwise stretch one frame for
+        as long as it keeps reading."""
+        if len(body) > MAX_FRAME:
             raise TransportError("frame too large to send")
+        frame = _U32.pack(len(body)) + body
         start = time.monotonic()
         try:
             sent = self.sock.send(frame)
@@ -297,17 +300,17 @@ def compute_measurement(
 
 # a record's nonce: 4 zero bytes, then its big-endian sequence number
 _NONCE = struct.Struct(">4xQ")
-# a sealed record's frame header: the frame length, then the record tag
-_RECORD_HEAD = struct.Struct(">IB")
+_RECORD_TAG = bytes([MSG_RECORD])
 
 
 class Session:
-    """AES-256-GCM state for one direction-keyed connection.  Sequence
-    counters are implicit nonces: both ends count, so a replayed or dropped
-    record shows up as an authentication failure.  A record of ``n`` bytes
-    costs its send key ⌈n/16⌉ + 1 AES blocks, and the key seals nothing
-    past ``KEY_BLOCK_LIMIT`` of them: the connection must end and a new
-    handshake bring new keys."""
+    """AES-256-GCM state for one direction-keyed connection.  It seals and
+    opens records, a tag byte and then the ciphertext; ``Channel`` frames
+    them.  Sequence counters are implicit nonces: both ends count, so a
+    replayed or dropped record shows up as an authentication failure.  A
+    record of ``n`` bytes costs its send key ⌈n/16⌉ + 1 AES blocks, and the
+    key seals nothing past ``KEY_BLOCK_LIMIT`` of them: the connection must
+    end and a new handshake bring new keys."""
 
     def __init__(self, session_id: bytes, send_key: bytes, recv_key: bytes) -> None:
         self.session_id = session_id
@@ -321,21 +324,17 @@ class Session:
         self._send_aead = AESGCM(send_key)
         self._recv_aead = AESGCM(recv_key)
 
-    def seal_frame(self, plaintext: bytes) -> bytes:
-        """The whole frame of the next record: length, tag, ciphertext.
-        Raises TransportError, and seals nothing, if the record would take
-        the send key past ``KEY_BLOCK_LIMIT``."""
+    def seal(self, plaintext: bytes) -> bytes:
+        """The next record: tag, ciphertext.  Raises TransportError, and
+        seals nothing, if the record would take the send key past
+        ``KEY_BLOCK_LIMIT``."""
         blocks = self.send_blocks + (len(plaintext) + 31) // 16  # ⌈n/16⌉ + 1
         if blocks > KEY_BLOCK_LIMIT:
             raise TransportError("session key exhausted")
         ct = self._send_aead.encrypt(_NONCE.pack(self.send_seq), plaintext, None)
         self.send_seq += 1
         self.send_blocks = blocks
-        return _RECORD_HEAD.pack(len(ct) + 1, MSG_RECORD) + ct
-
-    def seal(self, plaintext: bytes) -> bytes:
-        """The next record: tag, ciphertext."""
-        return self.seal_frame(plaintext)[4:]
+        return _RECORD_TAG + ct
 
     def open(self, record: bytes) -> bytes:
         if not record or record[0] != MSG_RECORD:

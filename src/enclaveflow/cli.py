@@ -106,7 +106,6 @@ class RunConfig:
         ifc: bool = True,
         attestation: bool = True,
         client_sig: bool = True,
-        per_call_handshake: bool = False,
     ) -> None:
         self.app = app
         self.host = host
@@ -127,7 +126,6 @@ class RunConfig:
         self.ifc = ifc
         self.attestation = attestation
         self.client_sig = client_sig
-        self.per_call_handshake = per_call_handshake
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -158,6 +156,8 @@ class RunConfig:
                 raise UsageError(f"config key {key} has the wrong type")
         if self.app not in APPS:
             raise UsageError(f"app must be one of {', '.join(APPS)}")
+        if not 0 <= self.port <= 0xFFFF:
+            raise UsageError("port must be in 0-65535")
         if len(self.providers) != 2:
             raise UsageError("exactly two providers are supported")
         # the measurement packs the version's length in two bytes
@@ -180,8 +180,6 @@ def _overlay_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.attestation = False
     if getattr(args, "no_client_sig", False):
         cfg.client_sig = False
-    if getattr(args, "per_call_handshake", False):
-        cfg.per_call_handshake = True
     cfg.validate()
     return cfg
 
@@ -482,7 +480,6 @@ def cmd_client(args: argparse.Namespace) -> int:
         args.role,
         _build_program(cfg, args.role),
         gateway_factory=_gateway_factory(cfg, args.role),
-        per_call_channel=cfg.per_call_handshake,
     )
     return EXIT_OK
 
@@ -734,11 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-client-sig",
             action="store_true",
             help="skip client authentication in the handshake",
-        )
-        p.add_argument(
-            "--per-call-handshake",
-            action="store_true",
-            help="open a fresh channel for every gateway call",
         )
 
     p = sub.add_parser("enclave", help="serve an application")

@@ -150,20 +150,19 @@ def read_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Value, int]:
         if len(raw) != 8:
             raise DecodeError("truncated f64")
         return _F64.unpack(raw)[0], pos + 8
-    if tag == TAG_STRING:
+    if tag == TAG_STRING or tag == TAG_BYTES:
         start = pos + 4
         if start > len(buf):
             raise DecodeError("truncated u32")
         end = start + _U32.unpack_from(buf, pos)[0]
         if end > len(buf):
-            raise DecodeError("truncated string")
+            raise DecodeError("truncated string" if tag == TAG_STRING else "truncated bytes")
+        if tag == TAG_BYTES:
+            return buf[start:end], end
         try:
             return buf[start:end].decode("utf-8"), end
         except UnicodeDecodeError as e:
             raise DecodeError("string is not valid UTF-8") from e
-    if tag == TAG_BYTES:
-        raw, pos = _read_len_prefixed(buf, pos, "bytes")
-        return raw, pos
     if tag == TAG_LIST:
         count, pos = _read_u32(buf, pos)
         if count > len(buf) - pos:  # every element takes at least one byte
@@ -320,11 +319,3 @@ def _read_u32(buf: bytes, pos: int) -> tuple[int, int]:
     if pos + 4 > len(buf):
         raise DecodeError("truncated u32")
     return _U32.unpack_from(buf, pos)[0], pos + 4
-
-
-def _read_len_prefixed(buf: bytes, pos: int, what: str) -> tuple[bytes, int]:
-    ln, pos = _read_u32(buf, pos)
-    raw = buf[pos : pos + ln]
-    if len(raw) != ln:
-        raise DecodeError(f"truncated {what}")
-    return raw, pos + ln

@@ -270,6 +270,23 @@ def test_an_unsupported_argument_spec_fails_staging(role):
     assert app.call_table() == []
 
 
+@pytest.mark.parametrize("role", [ENCLAVE_ROLE, "c"])
+def test_a_function_name_the_measurement_cannot_carry_fails_staging(role):
+    # the measurement packs each name's UTF-8 length in two bytes
+    app = App(role)
+    app.enclave_fn(PLAIN, add, (int, int), name="é" * 0x7FFF)  # 65534 bytes fit
+    with pytest.raises(UsageError, match="65535"):
+        app.enclave_fn(PLAIN, add, (int, int), name="é" * 0x8000)
+    assert len(app.call_table()) == 1
+    app.measurement(b"")
+
+
+def test_a_code_version_the_measurement_cannot_carry_is_refused():
+    App(ENCLAVE_ROLE, code_version="v" * 0xFFFF).measurement(b"")
+    with pytest.raises(UsageError, match="65535"):
+        App(ENCLAVE_ROLE, code_version="v" * 0x10000)
+
+
 def test_dispatch_accepts_declared_labeled_arg():
     def takes_labeled(ctx, lv):
         return ctx.unlabel(lv)

@@ -29,6 +29,7 @@ from enclaveflow.attest import (
     MSG_SERVER_RESUMED,
     Channel,
     Monitor,
+    Session,
     compute_measurement,
     connect_channel,
     gen_signing_key,
@@ -548,6 +549,44 @@ def test_a_megabyte_frame_round_trips_sealed():
     finally:
         sender.join(10)
     assert not sender.is_alive()
+
+
+# three sealed frames from fixed keys: bodies b"", b"ping" and bytes(range(20)),
+# the first three records of a send key bytes(range(32))
+PINNED_FRAMES = bytes.fromhex(
+    "0000001113f05d76ae4ab99fe5a6f69b3148c2363d"
+    "000000151365bfd19b045332d18ed612314abeebca6cadce4c"
+    "0000002513c9702c7eb04edcd6b104361a7b4ce583960627c3474ed80e74b60b897c3ab813acef276b"
+)
+
+
+def test_every_sent_record_is_sealed_by_session_seal(monkeypatch):
+    # a wrapper on the Session.seal class attribute, as a tracer installs
+    # one, sees every record a channel sends, and the frames are pinned
+    sealed = []
+    original = Session.__dict__["seal"]
+
+    @functools.wraps(original)
+    def counting(self, plaintext):
+        sealed.append(plaintext)
+        return original(self, plaintext)
+
+    monkeypatch.setattr(Session, "seal", counting)
+    keys = bytes(range(32)), bytes(range(32, 64))
+    sender, receiver = Session(bytes(range(16)), *keys), Session(bytes(range(16)), *keys[::-1])
+    bodies = [b"", b"ping", bytes(range(20))]
+    a, b = spair()
+    channel = Channel(a, sender)
+    for body in bodies:
+        channel.send_message(body)
+    a.close()
+    assert sealed == bodies
+    wire = b""
+    while chunk := b.recv(4096):
+        wire += chunk
+    assert wire == PINNED_FRAMES
+    reader = Channel(FakeSocket(wire), receiver)
+    assert [reader.recv_message() for _ in bodies] == bodies
 
 
 # --- the monitor loop ---------------------------------------------------------------

@@ -102,8 +102,9 @@ def test_code_version_config_key_changes_the_measurement(tmp_path):
     assert _probe_measurement(RunConfig(code_version="pwd-0.1")) == _probe_measurement(RunConfig())
 
 
-@pytest.mark.parametrize("flag, per_call", [([], False), (["--per-call-handshake"], True)])
-def test_per_call_handshake_flag_reaches_run_app(monkeypatch, flag, per_call):
+@pytest.mark.parametrize("flag, refused", [([], False), (["--per-call-handshake"], True)])
+def test_per_call_handshake_flag_reaches_run_app(monkeypatch, flag, refused):
+    # the flag is gone: a client holds one channel, and the flag is refused
     seen = {}
 
     def fake_run_app(role, program, **kwargs):
@@ -111,8 +112,20 @@ def test_per_call_handshake_flag_reaches_run_app(monkeypatch, flag, per_call):
 
     monkeypatch.setattr("enclaveflow.cli.run_app", fake_run_app)
     argv = ["client", "--role", "user", "--port", "7000", "--no-attestation", "--no-client-sig"]
-    assert main(argv + flag) == 0
-    assert seen["role"] == "user" and seen["per_call_channel"] is per_call
+    if refused:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2 and not seen
+    else:
+        assert main(argv + flag) == 0
+        assert seen["role"] == "user" and "per_call_channel" not in seen
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+def test_a_port_outside_the_u16_range_is_a_usage_error(port, capsys):
+    argv = ["enclave", "--port", port, "--no-attestation", "--no-client-sig"]
+    assert main(argv) == 2
+    assert "port must be in 0-65535" in capsys.readouterr().err
 
 
 def test_measurement_config_bytes_is_canonical():
