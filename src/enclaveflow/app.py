@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from .attest import MAX_MESSAGE, compute_measurement
+from .attest import MAX_MESSAGE, _measured, compute_measurement
 from .errors import (
     IFC_VIOLATION_MESSAGE,
     DecodeError,
@@ -59,14 +59,6 @@ _ERROR_RESPONSES = {
     NotReady: encode_result_err(ErrorCode.INTERNAL, "NOT_READY"),
     Exception: encode_result_err(ErrorCode.INTERNAL, "internal error"),
 }
-
-
-def _measured(what: str, text: str) -> str:
-    """``text``, if the measurement can carry it: it packs the UTF-8 length
-    of the code version and of each function name in two bytes."""
-    if len(text.encode("utf-8")) > 0xFFFF:
-        raise UsageError(f"{what} must be at most 65535 UTF-8 bytes")
-    return text
 
 
 class SecureRef(Record):
@@ -197,7 +189,7 @@ class App:
         """Register an enclave function; every role assigns it the same
         call id.  Outside the enclave only the id and arity survive.  Each
         argument is declared as a wire type or None; any other spec, and a
-        name longer than the measurement carries, raises UsageError here,
+        name the measurement cannot carry, raises UsageError here,
         before any call."""
         self._check_staging()
         arg_types = tuple(arg_types)

@@ -49,6 +49,7 @@ from .errors import (
     DecodeError,
     ErrorCode,
     TransportError,
+    UsageError,
 )
 from .wire import (
     MSG_RESULT_ERR,
@@ -279,6 +280,18 @@ def _hkdf(salt: bytes, secret: bytes, *infos: bytes) -> list[bytes]:
     most 32 bytes.  Every key the package derives comes from here."""
     prk = _hmac_sha256(salt, secret)
     return [_hmac_sha256(prk, info + b"\x01") for info in infos]
+
+
+def _measured(what: str, text: str) -> str:
+    """``text``, if ``compute_measurement`` can carry it: UTF-8 text whose
+    length fits the two bytes it is packed in."""
+    try:
+        size = len(text.encode("utf-8"))
+    except UnicodeEncodeError:
+        raise UsageError(f"{what} must be valid UTF-8 text") from None
+    if size > 0xFFFF:
+        raise UsageError(f"{what} must be at most 65535 UTF-8 bytes")
+    return text
 
 
 def compute_measurement(

@@ -33,6 +33,7 @@ from .attest import (
     MSG_SERVER_ATTEST,
     Channel,
     Monitor,
+    _measured,
     connect_channel,
     gen_signing_key,
     load_exchange_private,
@@ -62,7 +63,8 @@ from .labels import DCLabel, EMPTY_PRIVILEGE, Privilege, cnf_from_principal
 from .wire import Value, encode_value
 
 SERVICE_PRINCIPAL = "svc"
-APPS = ("password-checker", "cleanroom", "attack-demo")
+# the bundled apps, each with its default code version
+APPS = {"password-checker": "pwd-0.1", "cleanroom": "dcr-0.2", "attack-demo": "leak-0.1"}
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -154,49 +156,36 @@ class RunConfig:
                 isinstance(value, (list, dict)) and any(type(v) is not item for v in items)
             ):
                 raise UsageError(f"config key {key} has the wrong type")
+            try:  # and each string in it, dict keys too, has a UTF-8 encoding
+                json.dumps(value, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise UsageError(f"config key {key} must be valid UTF-8 text") from None
         if self.app not in APPS:
             raise UsageError(f"app must be one of {', '.join(APPS)}")
         if not 0 <= self.port <= 0xFFFF:
             raise UsageError("port must be in 0-65535")
         if len(self.providers) != 2:
             raise UsageError("exactly two providers are supported")
-        # the measurement packs the version's length in two bytes
-        if len(self.code_version.encode("utf-8")) > 0xFFFF:
-            raise UsageError("code_version must be at most 65535 UTF-8 bytes")
+        _measured("code_version", self.code_version)
         if not self.attestation and self.client_sig:
             raise UsageError(
                 "client signatures require attestation; disable both or neither"
             )
 
 
-def _overlay_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "app", None):
-        cfg.app = args.app
-    if getattr(args, "port", None) is not None:
-        cfg.port = args.port
-    if getattr(args, "no_ifc", False):
-        cfg.ifc = False
-    if getattr(args, "no_attestation", False):
-        cfg.attestation = False
-    if getattr(args, "no_client_sig", False):
-        cfg.client_sig = False
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file (or the defaults), then each run flag that was given:
+    a flag sets the field it is named for."""
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    for key, value in vars(args).items():
+        if value is not None and key in vars(cfg):
+            setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    base = (
-        RunConfig.from_file(args.config)
-        if getattr(args, "config", None)
-        else RunConfig()
-    )
-    return _overlay_flags(base, args)
-
-
 def _code_version(cfg: RunConfig) -> str:
-    if cfg.code_version:
-        return cfg.code_version
-    return {"password-checker": "pwd-0.1", "cleanroom": "dcr-0.2", "attack-demo": "leak-0.1"}[cfg.app]
+    return cfg.code_version or APPS[cfg.app]
 
 
 def _measurement_config_bytes(cfg: RunConfig) -> bytes:
@@ -673,7 +662,7 @@ def _attack_replayed_attest(port: int, connect):
 
 def cmd_attack(args: argparse.Namespace) -> int:
     cfgs = [
-        RunConfig(app=app, port=0, client_sig=not args.no_client_sig)
+        RunConfig(app=app, port=0, client_sig=args.client_sig)
         for app in ("password-checker", "attack-demo")
     ]
     with _inprocess_enclaves(cfgs) as served:
@@ -718,20 +707,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_provision)
 
     def common_run_flags(p: argparse.ArgumentParser, with_role: bool) -> None:
+        # but for --role and --config, each flag's dest is the RunConfig field
+        # it overrides, and None when the flag is not given
         if with_role:
             p.add_argument("--role", required=True, help="which client role to play")
         p.add_argument("--app", choices=APPS, help="override the config's app")
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--port", type=int, help="override the config's port")
-        p.add_argument("--no-ifc", action="store_true", help="disable flow guards")
-        p.add_argument(
-            "--no-attestation", action="store_true", help="plain TCP, no handshake"
-        )
-        p.add_argument(
-            "--no-client-sig",
-            action="store_true",
-            help="skip client authentication in the handshake",
-        )
+        for flag, field, help_text in (
+            ("--no-ifc", "ifc", "disable flow guards"),
+            ("--no-attestation", "attestation", "plain TCP, no handshake"),
+            ("--no-client-sig", "client_sig", "skip client authentication in the handshake"),
+        ):
+            p.add_argument(flag, dest=field, action="store_false", default=None, help=help_text)
 
     p = sub.add_parser("enclave", help="serve an application")
     common_run_flags(p, with_role=False)
@@ -750,7 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run the adversarial drills")
     p.add_argument(
         "--no-client-sig",
-        action="store_true",
+        dest="client_sig",
+        action="store_false",
         help="control experiment: serve without client authentication",
     )
     p.set_defaults(func=cmd_attack)
@@ -759,10 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "no_attestation", False) and not getattr(args, "no_client_sig", False):
-        parser.error("--no-attestation requires --no-client-sig")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, StagingError) as e:

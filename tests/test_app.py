@@ -287,6 +287,19 @@ def test_a_code_version_the_measurement_cannot_carry_is_refused():
         App(ENCLAVE_ROLE, code_version="v" * 0x10000)
 
 
+def test_a_code_version_with_no_utf8_encoding_is_refused():
+    with pytest.raises(UsageError, match="UTF-8 text"):
+        App(ENCLAVE_ROLE, code_version="\ud800")
+
+
+@pytest.mark.parametrize("role", [ENCLAVE_ROLE, "c"])
+def test_a_function_name_with_no_utf8_encoding_fails_staging(role):
+    app = App(role)
+    with pytest.raises(UsageError, match="UTF-8 text"):
+        app.enclave_fn(PLAIN, add, (int, int), name="\ud800")
+    assert app.call_table() == []
+
+
 def test_dispatch_accepts_declared_labeled_arg():
     def takes_labeled(ctx, lv):
         return ctx.unlabel(lv)

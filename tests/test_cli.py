@@ -3,6 +3,7 @@ and the two demo apps driven through real subprocesses."""
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -20,9 +21,11 @@ from enclaveflow.attest import load_exchange_private, load_signing_private
 from enclaveflow.cli import (
     BENCH_CONFIGS,
     RunConfig,
+    build_parser,
     build_password_program,
     build_leaky_program,
     main,
+    _load_config,
     _measurement_config_bytes,
     _probe_measurement,
 )
@@ -63,6 +66,10 @@ def test_config_rejects_bad_values(tmp_path):
         {"port": True},  # nor an int field a bool
         {"thresholds": {"P1": "2"}},
         {"client_keys": {"P1": 7}},
+        # a lone surrogate is a JSON string but no UTF-8 text, wherever it sits
+        {"code_version": "\ud800"},
+        {"providers": ["P\ud800", "P2"]},
+        {"client_keys": {"\ud800": "k"}},
     ):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
@@ -70,11 +77,52 @@ def test_config_rejects_bad_values(tmp_path):
             RunConfig.from_file(p)
 
 
-def test_flag_coherence_rejected_at_parse_time(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["enclave", "--no-attestation"])
-    assert exc.value.code == 2
-    assert "--no-client-sig" in capsys.readouterr().err
+def test_flag_coherence_rejected_by_config_validation(capsys):
+    # RunConfig.validate is the one place that requires attestation for
+    # client signatures, for flags and config keys alike
+    assert main(["enclave", "--no-attestation"]) == 2
+    assert "client signatures require attestation" in capsys.readouterr().err
+
+
+def test_a_config_string_with_no_utf8_encoding_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"code_version": "\ud800"}))
+    argv = ["enclave", "--config", str(p), "--no-attestation", "--no-client-sig"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_each_run_flag_is_named_for_the_config_field_it_sets():
+    fields = vars(RunConfig()).keys()
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for parser in (sub.choices["enclave"], sub.choices["client"]):
+        dests = {
+            a.dest
+            for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "config", "role")
+        }
+        assert dests and dests <= fields, dests
+
+
+@pytest.mark.parametrize(
+    "flags, overridden",
+    [
+        (["--app", "attack-demo"], {"app": "attack-demo"}),
+        (["--port", "0"], {"port": 0}),
+        (["--no-ifc"], {"ifc": False}),
+        (["--no-attestation", "--no-client-sig"], {"attestation": False, "client_sig": False}),
+    ],
+)
+def test_a_run_flag_overrides_the_config_key_it_names(tmp_path, flags, overridden):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"app": "cleanroom", "port": 7200, "ifc": True, "attestation": True}))
+    from_file = vars(RunConfig.from_file(p))
+    # a flag not given leaves the file's value
+    assert vars(_load_config(build_parser().parse_args(["enclave", "--config", str(p)]))) == from_file
+    for command in (["enclave"], ["client", "--role", "user"]):
+        args = build_parser().parse_args([*command, "--config", str(p), *flags])
+        assert vars(_load_config(args)) == {**from_file, **overridden}
 
 
 def test_missing_config_file_is_usage_error(capsys):
