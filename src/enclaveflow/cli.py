@@ -130,7 +130,8 @@ class RunConfig:
         self.client_sig = client_sig
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
+    def from_file(cls, path: str | Path, **flags) -> "RunConfig":
+        """The config in ``path``, each of ``flags`` set over it, validated once."""
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as e:
@@ -141,7 +142,7 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
-        cfg = cls(**raw)
+        cfg = cls(**{**raw, **flags})
         cfg.validate()
         return cfg
 
@@ -176,10 +177,11 @@ class RunConfig:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults), then each run flag that was given:
     a flag sets the field it is named for."""
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for key, value in vars(args).items():
-        if value is not None and key in vars(cfg):
-            setattr(cfg, key, value)
+    fields = vars(RunConfig())
+    flags = {k: v for k, v in vars(args).items() if v is not None and k in fields}
+    if args.config:
+        return RunConfig.from_file(args.config, **flags)
+    cfg = RunConfig(**flags)
     cfg.validate()
     return cfg
 

@@ -98,10 +98,7 @@ class IfcContext:
             raise IfcViolation()
 
     def _raise_to(self, target: DCLabel) -> None:
-        # _require written out: every unlabel and read_ref comes through here
-        ok = can_flow_to(target, self.clearance)
-        if self.enforce and not ok:
-            raise IfcViolation()
+        self._require(can_flow_to(target, self.clearance))
         self.current = target
 
     # --- labeling ------------------------------------------------------------

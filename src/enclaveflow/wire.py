@@ -82,9 +82,6 @@ _LABELED = bytes([TAG_LABELED])
 # a CALL's header: tag, call id, argument count
 _CALL_HEAD = struct.Struct(">BIH")
 _RESULT_OK = bytes([MSG_RESULT_OK])
-# the two replies of a boolean result, built once
-_RESULT_TRUE = _RESULT_OK + _TRUE
-_RESULT_FALSE = _RESULT_OK + _FALSE
 
 Value = Union[None, bool, int, float, str, bytes, list, LabeledValue]
 
@@ -255,10 +252,6 @@ def encode_result_ok(
     """The reply carrying ``value``.  With ``max_len``, a reply longer than
     that raises OverflowError: the caller's transport could not carry it.
     ``gate`` is ``encode_value``'s."""
-    if value is True:
-        return _RESULT_TRUE
-    if value is False:
-        return _RESULT_FALSE
     reply = _RESULT_OK + encode_value(value, 0, gate)
     if max_len is not None and len(reply) > max_len:
         raise OverflowError("reply too long")

@@ -556,10 +556,10 @@ def test_a_reply_too_long_to_seal_into_one_frame_is_an_internal_error():
 
 VOUCHED = DCLabel(CNF_TRUE, cnf_from_principal("svc"))
 # a result and how many nodes it has: each is encoded once, by one walk
-# that is also the output gate's, and a bool's reply is prebuilt
+# that is also the output gate's
 WALKED = {
-    "True": (True, 0),
-    "False": (False, 0),
+    "True": (True, 1),
+    "False": (False, 1),
     "None": (None, 1),
     "nested labeled": (
         [LabeledValue(DC_PUBLIC, [1, "a"]), [None, LabeledValue(VOUCHED, [b"x"])]], 10

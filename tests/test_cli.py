@@ -84,6 +84,21 @@ def test_flag_coherence_rejected_by_config_validation(capsys):
     assert "client signatures require attestation" in capsys.readouterr().err
 
 
+def test_flags_complete_a_config_before_it_is_validated(tmp_path):
+    # the file alone is incoherent; with --no-client-sig the run is not
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"attestation": False}))
+    cfg = _load_config(build_parser().parse_args(["enclave", "--config", str(p), "--no-client-sig"]))
+    assert not cfg.attestation and not cfg.client_sig
+
+
+def test_a_config_file_that_turns_off_attestation_alone_is_refused(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"attestation": False}))
+    assert main(["enclave", "--config", str(p)]) == 2
+    assert "client signatures require attestation" in capsys.readouterr().err
+
+
 def test_a_config_string_with_no_utf8_encoding_is_a_usage_error(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"code_version": "\ud800"}))

@@ -295,11 +295,9 @@ def test_each_truncated_call_keeps_its_error_message():
         assert str(caught.value) == message, n
 
 
-def test_a_boolean_reply_is_built_once_with_the_same_bytes():
+def test_a_boolean_reply_has_the_same_bytes():
     assert encode_result_ok(True) == b"\x02\x02\x01"
     assert encode_result_ok(False) == b"\x02\x02\x00"
-    assert encode_result_ok(True) is encode_result_ok(True)
-    assert encode_result_ok(False) is encode_result_ok(False)
 
 
 def test_a_reply_longer_than_its_limit_is_refused():
