@@ -21,6 +21,7 @@ never an error.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import socket
@@ -791,19 +792,24 @@ class Monitor:
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self.listener.bind((host, port))
         self.listener.listen(8)
-        self.listener.settimeout(0.2)
         self.host, self.port = self.listener.getsockname()[:2]
 
     def stop(self) -> None:
+        """End ``serve_forever``, whose ``accept`` blocks: on Linux, the
+        listener's shutdown fails it at once with ``EINVAL``."""
         self._stop.set()
+        with contextlib.suppress(OSError):  # already shut down, or closed
+            self.listener.shutdown(socket.SHUT_RDWR)
 
     def serve_forever(self) -> None:
         try:
             while not self._stop.is_set():
                 try:
                     conn, _ = self.listener.accept()
-                except socket.timeout:
-                    continue
+                except OSError:
+                    if self._stop.is_set():
+                        return  # stop() shut the listener down
+                    raise
                 try:
                     self.serve_connection(conn)
                 except Exception:  # noqa: BLE001 - one peer must not stop the loop

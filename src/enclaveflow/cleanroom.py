@@ -92,19 +92,11 @@ def provider_label(name: str) -> DCLabel:
     return DCLabel(once, once)
 
 
-def unlabel_row(
-    ctx: IfcContext, p1: Privilege, p2: Privilege, lrow: LabeledValue
-) -> Row:
-    """Open one stored row.  Rows owned by either provider are opened with
-    that provider's privilege so their clause never taints the context; any
-    other label falls through to a plain unlabel and the context floats."""
-    owner = lrow.label.secrecy.sole_principal()
-    if owner is not None and owner == p1.description.sole_principal():
-        raw = ctx.unlabel_p(p1, lrow)
-    elif owner is not None and owner == p2.description.sole_principal():
-        raw = ctx.unlabel_p(p2, lrow)
-    else:
-        raw = ctx.unlabel(lrow)
+def unlabel_row(ctx: IfcContext, privilege: Privilege | None, lrow: LabeledValue) -> Row:
+    """Open one stored row with its owner's privilege, so the owner's
+    clause never taints the context, or plainly when no provider owns it
+    (``privilege`` None), so the context floats; then check the row."""
+    raw = ctx.unlabel(lrow) if privilege is None else ctx.unlabel_p(privilege, lrow)
     return row_from_value(raw)
 
 
@@ -211,8 +203,8 @@ def build_cleanroom_program(cfg: CleanRoomConfig) -> Callable[[App], None]:
 
     def program(app: App) -> None:
         db = app.labeled_ref(DC_PUBLIC, [])
-        p1 = Privilege.for_principal(cfg.provider_a)
-        p2 = Privilege.for_principal(cfg.provider_b)
+        # the providers' privileges, by owner name, live only in the query closure
+        privileges = {n: Privilege.for_principal(n) for n in (cfg.provider_a, cfg.provider_b)}
         template = IfcContext(EMPTY_PRIVILEGE)
 
         def datasend(ctx: IfcContext, lrow: LabeledValue) -> None:
@@ -222,7 +214,6 @@ def build_cleanroom_program(cfg: CleanRoomConfig) -> Callable[[App], None]:
         send_ref = app.enclave_fn(template, datasend, (LabeledValue,), name="datasend")
 
         def runquery(ctx: IfcContext) -> bytes:
-            # the privileges exist only inside this closure
             stored = ctx.read_ref(db)
             owners = [lrow.label.secrecy.sole_principal() for lrow in stored]
             counts = Counter(owners)
@@ -230,7 +221,8 @@ def build_cleanroom_program(cfg: CleanRoomConfig) -> Callable[[App], None]:
                 if counts[name] < cfg.thresholds.get(name, 1):
                     raise NotReady(f"{name} below threshold")
             tagged = [
-                (owner, unlabel_row(ctx, p1, p2, lrow)) for owner, lrow in zip(owners, stored)
+                (owner, unlabel_row(ctx, privileges.get(owner), lrow))
+                for owner, lrow in zip(owners, stored)
             ]
             result = psi_mean_age(tagged, cfg.provider_a, cfg.provider_b)
             if cfg.consumer_public is None:

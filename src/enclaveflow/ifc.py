@@ -29,18 +29,20 @@ __all__ = ["IfcContext", "LabeledRef", "make_labeled"]
 def _copy_value(v: Value, depth: int = 0) -> Value:
     """A copy of ``v`` that shares no list with it.  Leaves are immutable
     and pass through.  The codec decides what else is a value: an int out
-    of i64 range raises ``OverflowError`` and lists nested deeper than
-    ``MAX_DEPTH`` raise ``ValueError``, as ``encode_value`` does, and a
-    non-value raises what ``encode_value`` raises, so a cell only ever
-    holds a wire value.  Every ``LabeledValue`` and ``LabeledRef`` is
-    filled and emptied through here, so neither shares a list with anyone,
-    and a ``LabeledValue`` inside a value is a leaf."""
+    of i64 range raises ``OverflowError``, a str with no UTF-8 encoding
+    ``UnicodeEncodeError`` and a list deeper than ``MAX_DEPTH`` ``ValueError``,
+    as ``encode_value`` does; a non-value raises what ``encode_value``
+    raises.  So a cell only ever holds a wire value.  Every ``LabeledValue``
+    and ``LabeledRef`` is filled and emptied through here, so neither shares
+    a list with anyone, and a ``LabeledValue`` inside a value is a leaf."""
     if depth > MAX_DEPTH:
         raise ValueError("value nesting too deep")
     if isinstance(v, list):
         return [_copy_value(item, depth + 1) for item in v]
-    if v is None or isinstance(v, (bool, float, str, bytes, LabeledValue)):
+    if v is None or isinstance(v, (bool, float, bytes, LabeledValue)):
         return v
+    if isinstance(v, str) and v.isascii():
+        return v  # ASCII always encodes; encode_value checks any other str
     if isinstance(v, int):
         if not I64_MIN <= v <= I64_MAX:
             raise OverflowError("integer out of i64 range")

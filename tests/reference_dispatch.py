@@ -44,6 +44,8 @@ def copy(v, depth: int = 0):
         raise ValueError("value nesting too deep")
     if isinstance(v, list):
         return [copy(item, depth + 1) for item in v]
+    if isinstance(v, str):
+        v.encode("utf-8")  # a string with no UTF-8 is no wire value
     if v is None or isinstance(v, (bool, float, str, bytes, LabeledValue)):
         return v
     if not isinstance(v, int):

@@ -584,13 +584,14 @@ def test_a_bool_or_none_result_costs_no_walk(monkeypatch, case):
 
 @pytest.mark.parametrize("depth", [1, 60, 64])
 def test_a_label_that_may_not_leave_hides_its_contents_shape(depth):
-    # an unprivileged function returns an svc-labeled constant 3 lists deep;
-    # the constant's leaf sits 4 + depth deep in the result, past the codec
-    # bound at depth 64, and a lone surrogate is a leaf the encoder refuses.
+    # an unprivileged function returns an svc-labeled value 3 lists deep;
+    # the value's leaf sits 4 + depth deep in the result, past the codec
+    # bound at depth 64, and a lone surrogate is a leaf the encoder refuses
+    # (built without make_labeled, whose copy refuses it too).
     # The label is checked before either is met: every reply is the same.
     def reply(leaf) -> bytes:
         app = App(ENCLAVE_ROLE)
-        stored = app.labeled_constant(SVC, nested(depth, leaf=leaf))
+        stored = LabeledValue(SVC, nested(depth, leaf=leaf))
         app.enclave_fn(PLAIN, lambda ctx: [[[stored]]], (), name="give")
         app.freeze()
         return app.dispatch(encode_call(0, []))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import hmac
@@ -1199,6 +1200,75 @@ def test_monitor_plain_mode():
     finally:
         mon.stop()
         t.join()
+
+
+def plain_monitor() -> Monitor:
+    return Monitor(
+        "127.0.0.1",
+        0,
+        echo_dispatch,
+        measurement=MEASUREMENT,
+        authority_private=None,
+        attested=False,
+    )
+
+
+class Listener:
+    """A monitor's listener whose ``accept`` is replaced, by default with
+    the real one: ``entered`` is set as ``serve_forever`` calls it."""
+
+    def __init__(self, sock: socket.socket, accept=None) -> None:
+        self.sock = sock
+        self.entered = threading.Event()
+        self._accept = accept or sock.accept
+
+    def accept(self):
+        self.entered.set()
+        return self._accept()
+
+    def __getattr__(self, name):  # shutdown and close reach the real socket
+        return getattr(self.sock, name)
+
+
+def test_stop_ends_a_monitor_blocked_in_accept_at_once():
+    # twenty stops of a listener that re-checks a flag every 0.2 s take ≈4 s
+    start = time.perf_counter()
+    for _ in range(20):
+        mon = plain_monitor()
+        mon.listener = listener = Listener(mon.listener)
+        t = threading.Thread(target=mon.serve_forever, daemon=True)
+        t.start()
+        assert listener.entered.wait(5)
+        mon.stop()
+        t.join(5)
+        assert not t.is_alive()
+        assert listener.sock.fileno() == -1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_stop_before_serving_and_a_second_stop_are_harmless():
+    mon = plain_monitor()
+    mon.stop()
+    mon.stop()
+    t = threading.Thread(target=mon.serve_forever, daemon=True)
+    t.start()
+    t.join(5)
+    assert not t.is_alive()
+    assert mon.listener.fileno() == -1
+    mon.stop()  # after serve_forever closed the listener
+
+
+def test_an_accept_failure_that_is_no_stop_raises_out_of_serve_forever():
+    def out_of_descriptors():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    mon = plain_monitor()
+    sock = mon.listener
+    mon.listener = Listener(sock, out_of_descriptors)
+    with pytest.raises(OSError) as raised:
+        mon.serve_forever()
+    assert raised.value.errno == errno.EMFILE
+    assert sock.fileno() == -1
 
 
 def test_an_attested_connect_without_the_authority_key_opens_no_socket(monkeypatch):

@@ -26,7 +26,6 @@ from enclaveflow.cleanroom import (
     psi_mean_age,
     row_from_value,
     row_to_value,
-    unlabel_row,
 )
 from enclaveflow.cli import build_password_program
 from enclaveflow.errors import (
@@ -36,7 +35,7 @@ from enclaveflow.errors import (
     RemoteError,
     UsageError,
 )
-from enclaveflow.ifc import IfcContext, make_labeled
+from enclaveflow.ifc import make_labeled
 from enclaveflow.labels import (
     CNF,
     CNF_TRUE,
@@ -46,7 +45,6 @@ from enclaveflow.labels import (
     EMPTY_PRIVILEGE,
     LabeledValue,
     Principal,
-    Privilege,
     cnf,
     read_label,
 )
@@ -58,10 +56,6 @@ from enclaveflow.wire import (
     decode_value,
     encode_call,
 )
-
-P1 = Privilege.for_principal("P1")
-P2 = Privilege.for_principal("P2")
-
 
 # --- rows -------------------------------------------------------------------------
 
@@ -113,24 +107,6 @@ def test_extract_org_name():
     assert DC_PUBLIC.secrecy.sole_principal() is None
     assert DCLabel(cnf({"P1"}, {"P2"}), CNF_TRUE).secrecy.sole_principal() is None  # joint
     assert DCLabel(cnf({"P1", "P2"}), CNF_TRUE).secrecy.sole_principal() is None  # either
-
-
-def test_unlabel_row_owned_labels_keep_context_public():
-    for owner, label in (("P1", provider_label("P1")), ("P2", provider_label("P2"))):
-        ctx = IfcContext(EMPTY_PRIVILEGE)
-        lrow = make_labeled(label, ["alpha", 30])
-        assert unlabel_row(ctx, P1, P2, lrow) == Row("alpha", 30)
-        assert ctx.current == DC_PUBLIC, owner
-        assert ctx.output_gate()
-
-
-def test_unlabel_row_foreign_labels_float():
-    joint = DCLabel(cnf({"P1"}, {"P2"}), CNF_TRUE)
-    stranger = provider_label("P3")
-    for label in (joint, stranger):
-        ctx = IfcContext(EMPTY_PRIVILEGE)
-        unlabel_row(ctx, P1, P2, make_labeled(label, ["alpha", 30]))
-        assert not ctx.output_gate(), label
 
 
 # --- the query function ---------------------------------------------------------------
@@ -445,6 +421,30 @@ def test_end_to_end_large_against_oracle():
     assert len(want) == 20
     assert [s for s, _ in got] == [s for s, _ in want]
     assert all(abs(g - w) < 1e-9 for (_, g), (_, w) in zip(got, want))
+
+
+def test_unlabel_row_owned_labels_keep_context_public():
+    # the query opens each provider's rows with that provider's privilege:
+    # a row opened with the other's would float the context and shut the gate
+    consumer = X25519PrivateKey.generate()
+    enclave = cleanroom_enclave(consumer.public_key())
+    for owner, age in (("P1", 30), ("P2", 40), ("P2", 50), ("P1", 20)):
+        assert send_row(enclave, owner, "alpha", age) == ResultOk(None)
+    reply = query(enclave)
+    assert isinstance(reply, ResultOk)
+    assert decode_value(decrypt_result(consumer, reply.value)) == [["alpha", 35.0]]
+
+
+def test_unlabel_row_foreign_labels_float():
+    joint = DCLabel(cnf({"P1"}, {"P2"}), CNF_TRUE)
+    stranger = provider_label("P3")
+    for label in (joint, stranger):
+        enclave = cleanroom_enclave(X25519PrivateKey.generate().public_key())
+        send_row(enclave, "P1", "alpha", 30)
+        send_row(enclave, "P2", "alpha", 40)
+        assert send_row(enclave, "P1", "alpha", 50, label=label) == ResultOk(None)
+        reply = query(enclave)
+        assert reply == ResultErr(ErrorCode.IFC_VIOLATION, "information flow violation"), label
 
 
 def test_float_up_blocks_query():

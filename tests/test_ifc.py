@@ -241,6 +241,29 @@ def test_refs_refuse_what_the_codec_refuses():
     assert r.cell == []
 
 
+def test_no_cell_takes_a_string_with_no_utf8():
+    # a lone surrogate is a str the codec cannot encode: stored, it made
+    # every later call that returned the cell answer INTERNAL
+    ctx = fresh(P_ALICE)
+    r = LabeledRef(DC_PUBLIC, "")
+    rows = ctx.new_ref(DC_PUBLIC, ["é"])
+    writers = (
+        lambda v: ctx.write_ref(r, v),
+        lambda v: ctx.append_ref(rows, v),
+        lambda v: ctx.new_ref(DC_PUBLIC, v),
+        lambda v: ctx.label(ALICE, v),
+        lambda v: ctx.label_p(P_ALICE, ALICE, v),
+        lambda v: make_labeled(DC_PUBLIC, v),
+        lambda v: LabeledRef(DC_PUBLIC, v),
+    )
+    for write in writers:
+        for bad in ("\ud800", ["ok", "x\udfff"]):
+            with pytest.raises(UnicodeEncodeError):
+                write(bad)
+    assert r.cell == "" and rows.cell == ["é"]
+    assert encode_value(r.cell) and encode_value(rows.cell)
+
+
 def test_copies_take_the_deepest_value_the_codec_takes():
     v = nested(64)
     assert make_labeled(DC_PUBLIC, v).value == v
