@@ -479,10 +479,6 @@ def _resumption_secret(shared: bytes, hello: bytes) -> bytes:
 # --- handshake --------------------------------------------------------------------
 
 
-def _hello_body(nonce: bytes, name: str, eph_pub: bytes, sig: bytes) -> bytes:
-    return bytes([MSG_CLIENT_HELLO]) + nonce + encode_value(name) + eph_pub + sig
-
-
 def _hello_signed_bytes(nonce: bytes, eph_pub: bytes, name: str) -> bytes:
     """What the client signs in its hello."""
     return nonce + eph_pub + name.encode("utf-8")
@@ -501,34 +497,15 @@ def _parse_hello(body: bytes) -> tuple[bytes, str, bytes, bytes, bytes]:
     return body[1:33], name, body[end : end + 32], body[end + 32 : end + 96], body[end + 96 :]
 
 
-_ATTEST_LEN = 1 + 32 + 32 + 32 + 64
-
-
-def _attest_body(eph_pub: bytes, measurement: bytes, report_data: bytes, sig: bytes) -> bytes:
-    return bytes([MSG_SERVER_ATTEST]) + eph_pub + measurement + report_data + sig
-
-
-def _parse_attest(body: bytes) -> tuple[bytes, bytes, bytes, bytes, bytes]:
-    """(key share, measurement, report data, quote signature, ticket); the
-    ticket is empty unless the enclave issued one."""
-    if len(body) not in (_ATTEST_LEN, _ATTEST_LEN + _TICKET_LEN) or body[0] != MSG_SERVER_ATTEST:
-        raise DecodeError("malformed attestation message")
-    return body[1:33], body[33:65], body[65:97], body[97:_ATTEST_LEN], body[_ATTEST_LEN:]
-
-
-def _resumed_head(eph_pub: bytes) -> bytes:
-    return bytes([MSG_SERVER_RESUMED]) + eph_pub
-
-
-def _parse_resumed(body: bytes) -> tuple[bytes, bytes]:
-    """(key share, proof)"""
-    if len(body) != 1 + 32 + 32 or body[0] != MSG_SERVER_RESUMED:
-        raise DecodeError("malformed resumption message")
-    return body[1:33], body[33:]
-
-
-def _report_data(eph_pub: bytes, nonce: bytes) -> bytes:
-    return sha256(eph_pub, nonce)
+# The fixed-size handshake messages, each one layout that writes and reads
+# it.  ATTEST: tag, key share, measurement, report data (the SHA-256 of the
+# key share and the client's nonce), quote; a ticket may follow it.
+_ATTEST = struct.Struct(">B32s32s32s64s")
+# RESUMED: tag, key share, proof (a MAC of the hello and the tag and share)
+_RESUMED = struct.Struct(">B32s32s")
+# FINISH: tag, MAC of the transcript
+_FINISH = struct.Struct(">B32s")
+_RESUMED_TAG = bytes([MSG_SERVER_RESUMED])
 
 
 def _mac_ok(key: bytes, data: bytes, mac: bytes) -> bool:
@@ -541,14 +518,6 @@ def _mac_ok(key: bytes, data: bytes, mac: bytes) -> bool:
     except InvalidSignature:
         return False
     return True
-
-
-def _finish_ok(finish: bytes, fin_key: bytes, transcript: bytes) -> bool:
-    """Whether ``finish`` is a FINISH message carrying the transcript's MAC
-    under ``fin_key``."""
-    return len(finish) == 33 and finish[0] == MSG_CLIENT_FINISH and _mac_ok(
-        fin_key, transcript, finish[1:]
-    )
 
 
 def _exchange(priv: X25519PrivateKey, peer_pub: bytes) -> bytes | None:
@@ -584,7 +553,7 @@ def handshake_client(
     eph_pub = eph_priv.public_key().public_bytes_raw()
     to_sign = _hello_signed_bytes(nonce, eph_pub, client_name)
     sig = signing_key.sign(to_sign) if signing_key is not None else _ZERO_SIG
-    hello = _hello_body(nonce, client_name, eph_pub, sig)
+    hello = bytes([MSG_CLIENT_HELLO]) + nonce + encode_value(client_name) + eph_pub + sig
     held = None if ticket_slot is None else _TICKETS.get(ticket_slot)
     if held is not None:
         hello += held[0]
@@ -598,14 +567,19 @@ def handshake_client(
             raise AuthFailure(msg.message)
         raise TransportError(f"handshake refused: {msg.message}")
 
-    resumed = held is not None and reply[:1] == bytes([MSG_SERVER_RESUMED])
+    resumed = held is not None and reply[:1] == _RESUMED_TAG
     if resumed:
-        enclave_pub, proof = _parse_resumed(reply)
-        if not _mac_ok(held[1], sha256(hello, _resumed_head(enclave_pub)), proof):
+        if len(reply) != _RESUMED.size:
+            raise DecodeError("malformed resumption message")
+        _, enclave_pub, proof = _RESUMED.unpack(reply)
+        if not _mac_ok(held[1], sha256(hello, _RESUMED_TAG, enclave_pub), proof):
             _TICKETS.drop(ticket_slot, held)
             raise AttestationFailure("bad-resumption", "resumption proof invalid")
     else:
-        enclave_pub, measurement, report_data, quote_sig, issued = _parse_attest(reply)
+        if len(reply) - _ATTEST.size not in (0, _TICKET_LEN) or reply[0] != MSG_SERVER_ATTEST:
+            raise DecodeError("malformed attestation message")
+        _, enclave_pub, measurement, report_data, quote_sig = _ATTEST.unpack_from(reply)
+        issued = reply[_ATTEST.size :]
         try:
             authority_public.verify(quote_sig, measurement + report_data)
         except InvalidSignature:
@@ -615,7 +589,7 @@ def handshake_client(
                 "measurement-mismatch",
                 f"expected {expected_measurement.hex()} got {measurement.hex()}",
             )
-        if report_data != _report_data(enclave_pub, nonce):
+        if report_data != sha256(enclave_pub, nonce):
             raise AttestationFailure("stale-binding", "quote not bound to our nonce")
 
     shared = _exchange(eph_priv, enclave_pub)
@@ -625,8 +599,7 @@ def handshake_client(
     client_session, fin_key = _derive_session(
         shared + held[1] if resumed else shared, transcript, client=True
     )
-    mac = _hmac_sha256(fin_key, transcript)
-    channel.send_message(bytes([MSG_CLIENT_FINISH]) + mac)
+    channel.send_message(_FINISH.pack(MSG_CLIENT_FINISH, _hmac_sha256(fin_key, transcript)))
     if ticket_slot is not None and not resumed:
         if issued:
             _TICKETS.put(ticket_slot, (issued, _resumption_secret(shared, hello)))
@@ -688,14 +661,14 @@ def handshake_server(
         raise _refuse(channel, "client key share refused")
     eph_pub = eph_priv.public_key().public_bytes_raw()
     if secret is None:
-        report_data = _report_data(eph_pub, nonce)
+        report_data = sha256(eph_pub, nonce)
         quote_sig = authority_private.sign(measurement + report_data)
-        reply = _attest_body(eph_pub, measurement, report_data, quote_sig)
+        reply = _ATTEST.pack(MSG_SERVER_ATTEST, eph_pub, measurement, report_data, quote_sig)
         if ticket_key is not None:
             reply += ticket_key.seal(measurement, name, _resumption_secret(shared, hello))
     else:
-        head = _resumed_head(eph_pub)
-        reply = head + _hmac_sha256(secret, sha256(hello, head))
+        proof = _hmac_sha256(secret, sha256(hello, _RESUMED_TAG, eph_pub))
+        reply = _RESUMED.pack(MSG_SERVER_RESUMED, eph_pub, proof)
         shared += secret
     channel.send_message(reply)
 
@@ -703,7 +676,8 @@ def handshake_server(
     server_session, fin_key = _derive_session(shared, transcript, client=False)
 
     finish = channel.recv_frame(deadline)
-    if not _finish_ok(finish, fin_key, transcript):
+    tag, mac = _FINISH.unpack(finish) if len(finish) == _FINISH.size else (None, None)
+    if tag != MSG_CLIENT_FINISH or not _mac_ok(fin_key, transcript, mac):
         raise _refuse(channel, "key confirmation failed")
     _set_timeout(channel.sock, socket.SO_RCVTIMEO, channel.timeout)
     return server_session, name

@@ -174,15 +174,25 @@ class RunConfig:
             )
 
 
+# the fields only the enclave reads, as README's Config reference marks them
+_ENCLAVE_ONLY = ("authority_private", "client_keys", "consumer_public_key", "password")
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults), then each run flag that was given:
-    a flag sets the field it is named for."""
-    fields = vars(RunConfig())
-    flags = {k: v for k, v in vars(args).items() if v is not None and k in fields}
+    a flag sets the field it is named for.  A client role's config then
+    holds the defaults of the enclave-only fields, so no client process
+    keeps the enclave's values."""
+    defaults = RunConfig()
+    flags = {k: v for k, v in vars(args).items() if v is not None and k in vars(defaults)}
     if args.config:
-        return RunConfig.from_file(args.config, **flags)
-    cfg = RunConfig(**flags)
-    cfg.validate()
+        cfg = RunConfig.from_file(args.config, **flags)
+    else:
+        cfg = RunConfig(**flags)
+        cfg.validate()
+    if getattr(args, "role", None) is not None:
+        for key in _ENCLAVE_ONLY:
+            setattr(cfg, key, getattr(defaults, key))
     return cfg
 
 
@@ -286,7 +296,8 @@ def _cleanroom_config(cfg: RunConfig, role: str) -> CleanRoomConfig:
 
 def _build_program(cfg: RunConfig, role: str) -> Callable[[App], None]:
     if cfg.app == "password-checker":
-        return build_password_program(cfg.password)
+        # a client stages a stub in the password's place: only the enclave holds it
+        return build_password_program(cfg.password if role == ENCLAVE_ROLE else "")
     if cfg.app == "cleanroom":
         # imported only here: no other app's enclave loads the clean room
         from .cleanroom import build_cleanroom_program

@@ -26,6 +26,7 @@ from enclaveflow.cleanroom import (
     psi_mean_age,
     row_from_value,
     row_to_value,
+    unlabel_row,
 )
 from enclaveflow.cli import build_password_program
 from enclaveflow.errors import (
@@ -35,7 +36,7 @@ from enclaveflow.errors import (
     RemoteError,
     UsageError,
 )
-from enclaveflow.ifc import make_labeled
+from enclaveflow.ifc import IfcContext, make_labeled
 from enclaveflow.labels import (
     CNF,
     CNF_TRUE,
@@ -45,6 +46,7 @@ from enclaveflow.labels import (
     EMPTY_PRIVILEGE,
     LabeledValue,
     Principal,
+    Privilege,
     cnf,
     read_label,
 )
@@ -436,36 +438,36 @@ def test_unlabel_row_owned_labels_keep_context_public():
 
 
 def test_unlabel_row_foreign_labels_float():
+    # neither provider's privilege speaks for a row under the joint label or
+    # under P3's, nor does opening it plainly: each leaves the context above
+    # the output label, so the gate shuts
     joint = DCLabel(cnf({"P1"}, {"P2"}), CNF_TRUE)
-    stranger = provider_label("P3")
-    for label in (joint, stranger):
-        enclave = cleanroom_enclave(X25519PrivateKey.generate().public_key())
-        send_row(enclave, "P1", "alpha", 30)
-        send_row(enclave, "P2", "alpha", 40)
-        assert send_row(enclave, "P1", "alpha", 50, label=label) == ResultOk(None)
-        reply = query(enclave)
-        assert reply == ResultErr(ErrorCode.IFC_VIOLATION, "information flow violation"), label
+    for label in (joint, provider_label("P3")):
+        for privilege in (Privilege.for_principal("P1"), Privilege.for_principal("P2"), None):
+            ctx = IfcContext(EMPTY_PRIVILEGE)
+            lrow = make_labeled(label, ["alpha", 50])
+            assert unlabel_row(ctx, privilege, lrow) == Row("alpha", 50)
+            assert not ctx.output_gate(), (label, privilege)
 
 
 def test_float_up_blocks_query():
-    consumer = X25519PrivateKey.generate()
-    enclave = cleanroom_enclave(consumer.public_key())
+    # the query holds P1's and P2's privileges one at a time: neither opens
+    # a row under the joint label, so the context floats and the gate
+    # answers the fixed violation
+    enclave = cleanroom_enclave(X25519PrivateKey.generate().public_key())
     send_row(enclave, "P1", "alpha", 30)
     send_row(enclave, "P2", "alpha", 40)
     joint = DCLabel(cnf({"P1"}, {"P2"}), CNF_TRUE)
     assert send_row(enclave, "P1", "alpha", 50, label=joint) == ResultOk(None)
-    reply = query(enclave)
-    assert reply == ResultErr(ErrorCode.IFC_VIOLATION, "information flow violation")
+    assert query(enclave) == ResultErr(ErrorCode.IFC_VIOLATION, "information flow violation")
 
 
 def test_stranger_label_blocks_query():
-    consumer = X25519PrivateKey.generate()
-    enclave = cleanroom_enclave(consumer.public_key())
+    enclave = cleanroom_enclave(X25519PrivateKey.generate().public_key())
     send_row(enclave, "P1", "alpha", 30)
     send_row(enclave, "P2", "alpha", 40)
     send_row(enclave, "P3", "alpha", 50)  # P3's clause has no matching privilege
-    reply = query(enclave)
-    assert isinstance(reply, ResultErr) and reply.code == ErrorCode.IFC_VIOLATION
+    assert query(enclave) == ResultErr(ErrorCode.IFC_VIOLATION, "information flow violation")
 
 
 def test_malformed_row_payload_is_decode_error():

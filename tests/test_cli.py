@@ -4,6 +4,7 @@ and the two demo apps driven through real subprocesses."""
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -15,9 +16,15 @@ import time
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from enclaveflow.app import ENCLAVE_ROLE, App, DirectChannel
-from enclaveflow.attest import load_exchange_private, load_signing_private
+from enclaveflow.attest import (
+    load_exchange_private,
+    load_signing_private,
+    private_raw,
+    save_key_hex,
+)
 from enclaveflow.cli import (
     BENCH_CONFIGS,
     RunConfig,
@@ -25,6 +32,8 @@ from enclaveflow.cli import (
     build_password_program,
     build_leaky_program,
     main,
+    _build_program,
+    _code_version,
     _load_config,
     _measurement_config_bytes,
     _probe_measurement,
@@ -327,6 +336,87 @@ def test_leaky_program_is_blocked_in_process():
     with pytest.raises(RemoteError) as exc:
         build_leaky_program()(app)  # the user body runs inline and calls leak()
     assert exc.value.code == ErrorCode.IFC_VIOLATION
+
+
+# --- enclave-only values stay in the enclave -------------------------------------------
+
+# each bundled app with every client role it declares
+CLIENT_ROLES = [
+    ("password-checker", "user"),
+    ("attack-demo", "user"),
+    ("cleanroom", "P1"),
+    ("cleanroom", "P2"),
+    ("cleanroom", "C1"),
+]
+
+
+class Unreached(Exception):
+    """Raised by the staged client's first gateway call, which ends its body."""
+
+
+def reachable(*roots) -> list:
+    """Every object reachable from ``roots`` through ``gc.get_referents``.
+    The walk enters the package's own module namespaces, where a cache
+    could keep a value, and no other module."""
+    modules = [m for m in list(sys.modules.values()) if isinstance(m, type(sys))]
+    skip = {id(m) for m in modules} | {
+        id(vars(m)) for m in modules if not m.__name__.startswith("enclaveflow")
+    }
+    seen, todo, found = set(skip), list(roots), []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("app_name, role", CLIENT_ROLES)
+def test_a_client_role_holds_no_enclave_only_value(tmp_path, monkeypatch, app_name, role):
+    # every enclave-only field holds a unique marker; the client is staged
+    # from the config file as `enclaveflow client` stages it, and runs its
+    # body up to the first gateway call
+    token = os.urandom(8).hex()
+    consumer_key = tmp_path / "C1_exchange_private.hex"
+    save_key_hex(consumer_key, private_raw(X25519PrivateKey.generate()))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("alpha,30\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps(
+            {
+                "app": app_name,
+                "authority_private": f"authority_private-{token}",
+                "client_keys": {f"client_keys-name-{token}": f"client_keys-path-{token}"},
+                "consumer_public_key": f"consumer_public_key-{token}",
+                "password": f"password-{token}",
+                "consumer_private_key": str(consumer_key),
+                "data_files": {"P1": str(rows), "P2": str(rows)},
+            }
+        )
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO("guess\n"))
+
+    def unreached():
+        raise Unreached
+
+    cfg = _load_config(build_parser().parse_args(["client", "--role", role, "--config", str(config)]))
+    program = _build_program(cfg, role)
+    app = App(role, code_version=_code_version(cfg), gateway_factory=unreached)
+    with pytest.raises(Unreached):
+        program(app)
+    app.freeze()
+    # nor does _build_program give a client role a value from a whole config
+    unscrubbed = _build_program(RunConfig.from_file(config), role)
+    leaks = [
+        obj
+        for obj in reachable(app, program, cfg, unscrubbed)
+        if isinstance(obj, str) and token in obj
+        or isinstance(obj, (bytes, bytearray)) and token.encode() in obj
+    ]
+    assert leaks == []
 
 
 # --- subprocess harness ----------------------------------------------------------------

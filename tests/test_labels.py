@@ -623,6 +623,24 @@ def test_only_labels_within_the_bound_are_interned():
     assert labels._intern_label.cache_info() == before  # neither looked up nor stored
 
 
+def test_a_principal_name_of_65535_bytes_round_trips():
+    # a name's byte length is a u16 in the encoding
+    lab = named_label("n" * 0xFFFF)
+    raw = encode_label(lab)
+    assert len(raw) == 8 + 0xFFFF
+    assert decode_label(raw) == lab
+
+
+@pytest.mark.parametrize(
+    "name", ["n" * 0x10000, "\u00e9" * 0x8000], ids=["ascii", "two-byte-chars"]
+)
+def test_a_principal_name_of_65536_bytes_is_refused(name):
+    # the bound counts UTF-8 bytes: 32768 two-byte characters are over it
+    assert len(name.encode("utf-8")) == 0x10000
+    with pytest.raises(LabelError, match="^principal name too long to encode$"):
+        encode_label(named_label(name))
+
+
 # --- one live object per label and privilege --------------------------------------
 
 
