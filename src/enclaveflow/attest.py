@@ -8,9 +8,9 @@ keys from an ephemeral key agreement bound to the handshake transcript.
 Every application byte thereafter rides in sealed, sequence-numbered
 records; nothing is dispatched on a connection that has not authenticated.
 
-A full handshake's attestation also carries a ticket: a resumption secret
-sealed under a key that never leaves the enclave process.  A client that
-reconnects to the same enclave process appends the ticket to its hello;
+Every full handshake's attestation also carries a ticket: a resumption
+secret sealed under a key that never leaves the enclave process.  A client
+that reconnects to the same enclave process appends the ticket to its hello;
 the enclave then skips the quote and answers with a fresh key share and a
 proof that it opened the ticket, and the session keys come from the fresh
 key agreement and the resumption secret together (as TLS 1.3 PSK-DHE
@@ -429,11 +429,13 @@ class _TicketTable:
         return self._entries.get(slot)
 
     def put(self, slot: tuple, entry: tuple[bytes, bytes]) -> None:
+        """Evicts before it inserts: a reader that takes no lock never sees
+        the table past its bound."""
         with self._lock:
             self._entries.pop(slot, None)
-            self._entries[slot] = entry
-            while len(self._entries) > TICKET_CACHE_SIZE:
+            while len(self._entries) >= TICKET_CACHE_SIZE:
                 del self._entries[next(iter(self._entries))]
+            self._entries[slot] = entry
 
     def drop(self, slot: tuple, entry: tuple[bytes, bytes]) -> None:
         """Forget ``slot``'s ticket if it is still ``entry``: another
@@ -499,8 +501,8 @@ def _parse_hello(body: bytes) -> tuple[bytes, str, bytes, bytes, bytes]:
 
 # The fixed-size handshake messages, each one layout that writes and reads
 # it.  ATTEST: tag, key share, measurement, report data (the SHA-256 of the
-# key share and the client's nonce), quote; a ticket may follow it.
-_ATTEST = struct.Struct(">B32s32s32s64s")
+# key share and the client's nonce), quote, ticket.
+_ATTEST = struct.Struct(f">B32s32s32s64s{_TICKET_LEN}s")
 # RESUMED: tag, key share, proof (a MAC of the hello and the tag and share)
 _RESUMED = struct.Struct(">B32s32s")
 # FINISH: tag, MAC of the transcript
@@ -537,24 +539,24 @@ def handshake_client(
     signing_key: Ed25519PrivateKey | None,
     expected_measurement: bytes,
     authority_public: Ed25519PublicKey,
-    ticket_slot: tuple | None = None,
+    ticket_slot: tuple,
 ) -> Session:
     """Client side: send signed hello, verify the quote (signature, then
     measurement, then nonce binding), confirm keys.  Aborts before any
     application data if any check fails.
 
-    With a ``ticket_slot``, the ticket held there rides on the hello.  An
+    The ticket held in ``ticket_slot``, if any, rides on the hello.  An
     enclave that takes it answers RESUMED in place of a quote; a proof
     that fails to verify raises AttestationFailure("bad-resumption") and
-    forgets the ticket.  A full handshake keeps the ticket its quote
-    carried, once the quote has verified."""
+    forgets the ticket.  A full handshake puts the ticket its quote
+    carried in the slot, once the quote has verified."""
     nonce = os.urandom(32)
     eph_priv = X25519PrivateKey.generate()
     eph_pub = eph_priv.public_key().public_bytes_raw()
     to_sign = _hello_signed_bytes(nonce, eph_pub, client_name)
     sig = signing_key.sign(to_sign) if signing_key is not None else _ZERO_SIG
     hello = bytes([MSG_CLIENT_HELLO]) + nonce + encode_value(client_name) + eph_pub + sig
-    held = None if ticket_slot is None else _TICKETS.get(ticket_slot)
+    held = _TICKETS.get(ticket_slot)
     if held is not None:
         hello += held[0]
     channel.send_message(hello)
@@ -576,10 +578,9 @@ def handshake_client(
             _TICKETS.drop(ticket_slot, held)
             raise AttestationFailure("bad-resumption", "resumption proof invalid")
     else:
-        if len(reply) - _ATTEST.size not in (0, _TICKET_LEN) or reply[0] != MSG_SERVER_ATTEST:
+        if len(reply) != _ATTEST.size or reply[0] != MSG_SERVER_ATTEST:
             raise DecodeError("malformed attestation message")
-        _, enclave_pub, measurement, report_data, quote_sig = _ATTEST.unpack_from(reply)
-        issued = reply[_ATTEST.size :]
+        _, enclave_pub, measurement, report_data, quote_sig, issued = _ATTEST.unpack(reply)
         try:
             authority_public.verify(quote_sig, measurement + report_data)
         except InvalidSignature:
@@ -600,11 +601,8 @@ def handshake_client(
         shared + held[1] if resumed else shared, transcript, client=True
     )
     channel.send_message(_FINISH.pack(MSG_CLIENT_FINISH, _hmac_sha256(fin_key, transcript)))
-    if ticket_slot is not None and not resumed:
-        if issued:
-            _TICKETS.put(ticket_slot, (issued, _resumption_secret(shared, hello)))
-        elif held is not None:  # the enclave refused it and issued none
-            _TICKETS.drop(ticket_slot, held)
+    if not resumed:
+        _TICKETS.put(ticket_slot, (issued, _resumption_secret(shared, hello)))
     return client_session
 
 
@@ -620,8 +618,8 @@ def handshake_server(
     measurement: bytes,
     authority_private: Ed25519PrivateKey,
     credentials: dict[str, Ed25519PublicKey],
+    ticket_key: _TicketKey,
     verify_client: bool = True,
-    ticket_key: _TicketKey | None = None,
 ) -> tuple[Session, str]:
     """Enclave side: authenticate the hello against provisioned
     credentials, quote our measurement bound to the client's nonce, and
@@ -632,11 +630,11 @@ def handshake_server(
     TransportError or TimeoutError; the channel's own receive timeout is
     put back once the handshake succeeds.
 
-    With a ``ticket_key``, every quote carries a ticket sealed under it,
-    and a hello whose ticket opens under it is answered with RESUMED, a
-    fresh key share and a MAC under the ticket's secret, in place of a
-    quote.  A ticket that does not open costs a full handshake, never a
-    refusal; the client's signature is checked either way."""
+    Every quote carries a ticket sealed under ``ticket_key``, and a hello
+    whose ticket opens under it is answered with RESUMED, a fresh key share
+    and a MAC under the ticket's secret, in place of a quote.  A ticket
+    that does not open costs a full handshake, never a refusal; the
+    client's signature is checked either way."""
     deadline = time.monotonic() + HANDSHAKE_DEADLINE_S
     hello = channel.recv_frame(deadline)
     try:
@@ -644,9 +642,7 @@ def handshake_server(
     except DecodeError:
         channel.send_message(encode_result_err(ErrorCode.DECODE_ERROR, "malformed hello"))
         raise
-    secret = None
-    if ticket and ticket_key is not None:
-        secret = ticket_key.open(ticket, measurement, name)
+    secret = ticket_key.open(ticket, measurement, name) if ticket else None
 
     if verify_client:
         try:
@@ -663,9 +659,10 @@ def handshake_server(
     if secret is None:
         report_data = sha256(eph_pub, nonce)
         quote_sig = authority_private.sign(measurement + report_data)
-        reply = _ATTEST.pack(MSG_SERVER_ATTEST, eph_pub, measurement, report_data, quote_sig)
-        if ticket_key is not None:
-            reply += ticket_key.seal(measurement, name, _resumption_secret(shared, hello))
+        issued = ticket_key.seal(measurement, name, _resumption_secret(shared, hello))
+        reply = _ATTEST.pack(
+            MSG_SERVER_ATTEST, eph_pub, measurement, report_data, quote_sig, issued
+        )
     else:
         proof = _hmac_sha256(secret, sha256(hello, _RESUMED_TAG, eph_pub))
         reply = _RESUMED.pack(MSG_SERVER_RESUMED, eph_pub, proof)

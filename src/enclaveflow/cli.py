@@ -452,9 +452,11 @@ def cmd_enclave(args: argparse.Namespace) -> int:
 def _gateway_factory(cfg: RunConfig, role: str) -> Callable[[], object]:
     """A connector to ``cfg``'s enclave as ``role``, with everything bound."""
     expected = _expected_measurement(cfg) if cfg.attestation else b""
-    authority_public = (
-        load_signing_public(cfg.authority_public) if cfg.attestation else None
-    )
+    authority_public = None
+    if cfg.attestation:
+        if not cfg.authority_public:
+            raise UsageError("an attested client needs authority_public in the config")
+        authority_public = load_signing_public(cfg.authority_public)
     signing_key = None
     if cfg.attestation and cfg.client_sig:
         path = cfg.signing_keys.get(role)

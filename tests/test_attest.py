@@ -22,6 +22,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings, strategies as st
 
+from enclaveflow import attest
 from enclaveflow.attest import (
     MAX_FRAME,
     MSG_CLIENT_FINISH,
@@ -44,7 +45,7 @@ from enclaveflow.attest import (
     public_raw,
     save_key_hex,
     _TICKET_LEN,
-    _TICKETS,
+    _TicketKey,
     _TicketTable,
     _derive_session,
     _parse_hello,
@@ -73,6 +74,16 @@ ALICE_KEY = gen_signing_key()
 CREDS = {"Alice": ALICE_KEY.public_key()}
 TABLE = [(0, "checkpwd"), (1, "other")]
 MEASUREMENT = compute_measurement("demo-1.0", TABLE, b"config")
+# where a handshake_client called by hand keeps Alice's ticket
+SLOT = ("socketpair", 0, "Alice")
+# an ATTEST: tag, key share, measurement, report data and quote (161 B), ticket
+ATTEST_LEN = 1 + 32 + 32 + 32 + 64 + _TICKET_LEN
+
+
+@pytest.fixture(autouse=True)
+def fresh_tickets(monkeypatch) -> None:
+    """A fresh client ticket table: no test resumes on another's ticket."""
+    monkeypatch.setattr(attest, "_TICKETS", _TicketTable())
 
 
 def send_frame(sock, body: bytes) -> None:
@@ -88,8 +99,10 @@ def spair():
 
 
 def run_server(sock, **kw):
-    """handshake_server in a thread; returns a result slot."""
+    """handshake_server in a thread, under a ticket key of its own unless
+    ``ticket_key`` names one; returns a result slot."""
     slot: dict = {}
+    ticket_key = kw.get("ticket_key") or _TicketKey()
 
     def go():
         try:
@@ -99,6 +112,7 @@ def run_server(sock, **kw):
                 authority_private=kw.get("authority", AUTHORITY),
                 credentials=kw.get("credentials", CREDS),
                 verify_client=kw.get("verify_client", True),
+                ticket_key=ticket_key,
             )
         except Exception as e:  # noqa: BLE001 - surfaced via the slot
             slot["error"] = e
@@ -143,6 +157,7 @@ def test_handshake_happy_path():
         signing_key=ALICE_KEY,
         expected_measurement=MEASUREMENT,
         authority_public=AUTHORITY_PUB,
+        ticket_slot=SLOT,
     )
     slot["thread"].join()
     assert "error" not in slot
@@ -165,6 +180,7 @@ def test_unknown_client_is_refused():
             signing_key=mallory,
             expected_measurement=MEASUREMENT,
             authority_public=AUTHORITY_PUB,
+            ticket_slot=SLOT,
         )
     slot["thread"].join()
     assert isinstance(slot["error"], AuthFailure)
@@ -181,6 +197,7 @@ def test_right_name_wrong_key_is_refused():
             signing_key=imposter,
             expected_measurement=MEASUREMENT,
             authority_public=AUTHORITY_PUB,
+            ticket_slot=SLOT,
         )
     slot["thread"].join()
 
@@ -194,6 +211,7 @@ def test_client_verification_can_be_disabled():
         signing_key=None,  # sends an all-zero signature
         expected_measurement=MEASUREMENT,
         authority_public=AUTHORITY_PUB,
+        ticket_slot=SLOT,
     )
     slot["thread"].join()
     assert "error" not in slot
@@ -212,6 +230,7 @@ def test_measurement_mismatch_aborts():
             signing_key=ALICE_KEY,
             expected_measurement=bytes(wrong),
             authority_public=AUTHORITY_PUB,
+            ticket_slot=SLOT,
         )
     assert exc.value.reason == "measurement-mismatch"
     c.close()
@@ -229,6 +248,7 @@ def test_wrong_authority_is_bad_signature():
             signing_key=ALICE_KEY,
             expected_measurement=MEASUREMENT,
             authority_public=other_authority.public_key(),
+            ticket_slot=SLOT,
         )
     assert exc.value.reason == "bad-signature"
     c.close()
@@ -238,22 +258,25 @@ def test_wrong_authority_is_bad_signature():
 # --- man-in-the-middle harness ------------------------------------------------------
 
 
-def handshake_via_proxy(mutate, record: list | None = None):
-    """Run a full handshake with a frame-level proxy that can rewrite the
-    SERVER_ATTEST body.  Returns whatever handshake_client raises/returns."""
+def handshake_via_proxy(mutate, record: list | None = None, server: dict | None = None, **kw):
+    """Run a handshake with a frame-level proxy that can rewrite the
+    enclave's reply.  Returns whatever handshake_client raises/returns;
+    ``server`` gets the server's result slot, and ``kw`` goes to
+    ``run_server``."""
     c_client, c_proxy = spair()
     s_proxy, s_server = spair()
-    slot = run_server(s_server)
+    slot = run_server(s_server, **kw)
 
     def proxy():
         from_client, from_server = Channel(c_proxy), Channel(s_proxy)
         try:
             from_server.send_message(from_client.recv_frame())  # hello →
-            attest = from_server.recv_frame()
+            reply = from_server.recv_frame()
             if record is not None:
-                record.append(attest)
-            from_client.send_message(mutate(attest))  # ← attest (possibly rewritten)
+                record.append(reply)
+            from_client.send_message(mutate(reply))  # ← reply (possibly rewritten)
             from_server.send_message(from_client.recv_frame())  # finish →
+            slot["thread"].join(5)  # the server's verdict on FINISH, before we hang up
         except (TransportError, OSError):
             pass
         finally:
@@ -269,23 +292,52 @@ def handshake_via_proxy(mutate, record: list | None = None):
             signing_key=ALICE_KEY,
             expected_measurement=MEASUREMENT,
             authority_public=AUTHORITY_PUB,
+            ticket_slot=SLOT,
         )
     finally:
         c_client.close()
         p.join()
         slot["thread"].join()
+        s_server.close()
+        if server is not None:
+            server.update(slot)
 
 
-def test_attest_bitflips_always_abort():
+def test_attest_bitflips_always_abort(monkeypatch):
+    # A flip before the ticket fails one of the client's checks.  A flip in
+    # the ticket passes them, but the transcript covers the whole reply, so
+    # the enclave refuses the FINISH; and the client's next connection on
+    # the slot, which offers the flipped ticket, gets a full handshake and a
+    # fresh ticket.
     rng = random.Random(4242)
-    for _ in range(30):
-        def flip(body: bytes) -> bytes:
-            b = bytearray(body)
-            b[rng.randrange(len(b))] ^= 1 << rng.randrange(8)
-            return bytes(b)
+    ticket_at = ATTEST_LEN - _TICKET_LEN
+    positions = rng.sample(range(ticket_at), 20) + rng.sample(range(ticket_at, ATTEST_LEN), 10)
+    ticket_key = _TicketKey()  # one enclave: a ticket it issued would open
+    for at in positions:
+        monkeypatch.setattr(attest, "_TICKETS", _TicketTable())  # each flip meets a full handshake
+        bit = 1 << rng.randrange(8)
 
-        with pytest.raises((AttestationFailure, DecodeError, TransportError)):
-            handshake_via_proxy(flip)
+        def flip(body: bytes) -> bytes:
+            assert len(body) == ATTEST_LEN and body[0] == MSG_SERVER_ATTEST
+            return body[:at] + bytes([body[at] ^ bit]) + body[at + 1 :]
+
+        server: dict = {}
+        if at < ticket_at:
+            with pytest.raises((AttestationFailure, DecodeError)):
+                handshake_via_proxy(flip, server=server, ticket_key=ticket_key)
+            assert attest._TICKETS.get(SLOT) is None
+            continue
+        handshake_via_proxy(flip, server=server, ticket_key=ticket_key)
+        error = server["error"]
+        assert isinstance(error, AuthFailure) and str(error) == "key confirmation failed"
+        flipped, _ = attest._TICKETS.get(SLOT)
+
+        replies: list[bytes] = []
+        server = {}
+        handshake_via_proxy(lambda b: b, record=replies, server=server, ticket_key=ticket_key)
+        assert "error" not in server and replies[0][0] == MSG_SERVER_ATTEST
+        issued, _ = attest._TICKETS.get(SLOT)
+        assert issued == replies[0][-_TICKET_LEN:] != flipped
 
 
 def test_replayed_attest_is_stale():
@@ -313,15 +365,16 @@ def test_verification_order_signature_first():
 # --- sealing ---------------------------------------------------------------------
 
 
-def make_sessions():
+def make_sessions(**kw):
     c, s = spair()
-    slot = run_server(s)
+    slot = run_server(s, **kw)
     client = handshake_client(
         Channel(c),
         client_name="Alice",
         signing_key=ALICE_KEY,
         expected_measurement=MEASUREMENT,
         authority_public=AUTHORITY_PUB,
+        ticket_slot=SLOT,
     )
     slot["thread"].join()
     return client, slot["session"]
@@ -334,8 +387,9 @@ def test_each_side_keys_only_its_own_session(monkeypatch):
         keyed.append(key)
         return AESGCM(key)
 
+    ticket_key = _TicketKey()  # keyed before the count starts
     monkeypatch.setattr("enclaveflow.attest.AESGCM", counting)
-    client, server = make_sessions()
+    client, server = make_sessions(ticket_key=ticket_key)
     assert (client.send_key, client.recv_key) == (server.recv_key, server.send_key)
     assert client.session_id == server.session_id
     assert sorted(keyed) == sorted([client.send_key, client.recv_key] * 2)
@@ -506,6 +560,7 @@ def test_each_whole_handshake_frame_costs_one_recv():
         signing_key=ALICE_KEY,
         expected_measurement=MEASUREMENT,
         authority_public=AUTHORITY_PUB,
+        ticket_slot=SLOT,
     )
     slot["thread"].join(5)
     assert slot["session"].session_id == session.session_id
@@ -671,6 +726,7 @@ def test_finish_and_first_request_in_one_write_are_both_served():
             signing_key=ALICE_KEY,
             expected_measurement=MEASUREMENT,
             authority_public=AUTHORITY_PUB,
+            ticket_slot=SLOT,
         )
         assert held.held
         raw.sendall(held.held + frame(session.seal(encode_call(5, []))))
@@ -848,6 +904,7 @@ def test_a_peer_that_reads_a_big_reply_slowly_gives_way(monkeypatch, reader):
             signing_key=ALICE_KEY,
             expected_measurement=MEASUREMENT,
             authority_public=AUTHORITY_PUB,
+            ticket_slot=SLOT,
         )
         slow.send_message(encode_call(8, []))
         peer.start()
@@ -1067,7 +1124,7 @@ def test_handshake_client_refuses_a_low_order_enclave_share():
         nonce, share = hello[1:33], bytes(32)
         report_data = hashlib.sha256(share + nonce).digest()
         quote = AUTHORITY.sign(MEASUREMENT + report_data)
-        send_frame(s, b"\x11" + share + MEASUREMENT + report_data + quote)
+        send_frame(s, b"\x11" + share + MEASUREMENT + report_data + quote + bytes(_TICKET_LEN))
 
     t = threading.Thread(target=fake_enclave)
     t.start()
@@ -1078,6 +1135,7 @@ def test_handshake_client_refuses_a_low_order_enclave_share():
             signing_key=ALICE_KEY,
             expected_measurement=MEASUREMENT,
             authority_public=AUTHORITY_PUB,
+            ticket_slot=SLOT,
         )
     assert exc.value.reason == "bad-key-share"
     t.join(5)
@@ -1356,7 +1414,7 @@ def test_client_finish_is_the_stdlib_hmac_of_the_transcript():
         eph_pub = eph.public_key().public_bytes_raw()
         report_data = hashlib.sha256(eph_pub + nonce).digest()
         quote = AUTHORITY.sign(MEASUREMENT + report_data)
-        attest = b"\x11" + eph_pub + MEASUREMENT + report_data + quote
+        attest = b"\x11" + eph_pub + MEASUREMENT + report_data + quote + bytes(_TICKET_LEN)
         send_frame(s, attest)
         slot["shared"] = eph.exchange(X25519PublicKey.from_public_bytes(share))
         slot["transcript"] = hashlib.sha256(hello + attest).digest()
@@ -1370,6 +1428,7 @@ def test_client_finish_is_the_stdlib_hmac_of_the_transcript():
         signing_key=ALICE_KEY,
         expected_measurement=MEASUREMENT,
         authority_public=AUTHORITY_PUB,
+        ticket_slot=SLOT,
     )
     t.join(5)
     assert not t.is_alive()
@@ -1483,9 +1542,9 @@ def test_two_resumptions_of_one_ticket_get_their_own_keys():
     mon, thread = start_monitor(authority_private=authority)
     try:
         call_once(mon)
-        entry = _TICKETS.get(slot_of(mon))
+        entry = attest._TICKETS.get(slot_of(mon))
         first, second = call_once(mon), call_once(mon)
-        assert authority.calls == 1 and _TICKETS.get(slot_of(mon)) is entry
+        assert authority.calls == 1 and attest._TICKETS.get(slot_of(mon)) is entry
         assert first.session_id != second.session_id
         assert first.send_key != second.send_key and first.recv_key != second.recv_key
     finally:
@@ -1507,26 +1566,28 @@ def test_a_ticket_the_enclave_cannot_use_costs_a_full_handshake(case, monkeypatc
     mon = first[0]
     try:
         call_once(mon)  # Alice's full handshake brings her a ticket
-        entry = _TICKETS.get(slot_of(mon))
+        entry = attest._TICKETS.get(slot_of(mon))
         assert entry is not None
         target, name, key = mon, "Alice", ALICE_KEY
         if case == "tampered":
-            _TICKETS.put(slot_of(mon), _tampered(entry))
+            attest._TICKETS.put(slot_of(mon), _tampered(entry))
         elif case == "other-monitor":
             target = other[0]
-            _TICKETS.put(slot_of(target), entry)
+            attest._TICKETS.put(slot_of(target), entry)
         elif case == "expired":
+            lifetime = attest.TICKET_LIFETIME_S
             monkeypatch.setattr("enclaveflow.attest.TICKET_LIFETIME_S", 0.01)
             time.sleep(0.05)
         else:
             name, key = "Bob", BOB_KEY
-            _TICKETS.put(slot_of(target, name, key), entry)
+            attest._TICKETS.put(slot_of(target, name, key), entry)
         quotes = authority.calls
         call_once(target, client_name=name, signing_key=key)  # served, not refused
         assert authority.calls == quotes + 1
-        monkeypatch.undo()
+        if case == "expired":
+            monkeypatch.setattr("enclaveflow.attest.TICKET_LIFETIME_S", lifetime)
         # the fallback's quote carried a fresh ticket, and it resumes
-        assert _TICKETS.get(slot_of(target, name, key)) not in (None, entry)
+        assert attest._TICKETS.get(slot_of(target, name, key)) not in (None, entry)
         call_once(target, client_name=name, signing_key=key)
         assert authority.calls == quotes + 1
     finally:
@@ -1680,7 +1741,7 @@ def test_a_valid_ticket_does_not_stand_in_for_the_client_signature():
     mon, thread = start_monitor(credentials=dict(CREDS))
     try:
         call_once(mon)
-        ticket, _ = _TICKETS.get(slot_of(mon))
+        ticket, _ = attest._TICKETS.get(slot_of(mon))
         share = X25519PrivateKey.generate().public_key().public_bytes_raw()
         for key, expected_tag in ((ALICE_KEY, MSG_SERVER_RESUMED), (BOB_KEY, None)):
             raw = socket.create_connection(("127.0.0.1", mon.port), timeout=5)
@@ -1694,7 +1755,7 @@ def test_a_valid_ticket_does_not_stand_in_for_the_client_signature():
                     ErrorCode.AUTH_FAILURE, "client authentication failed"
                 )
         mon.credentials.pop("Alice")  # no longer provisioned; her ticket still opens
-        assert _TICKETS.get(slot_of(mon)) is not None
+        assert attest._TICKETS.get(slot_of(mon)) is not None
         with pytest.raises(AuthFailure):
             call_once(mon)
     finally:
@@ -1722,8 +1783,13 @@ def test_a_hello_is_one_of_two_lengths(extra):
         stop_all((mon, thread))
 
 
-@pytest.mark.parametrize("extra", LENGTH_EXTRAS)
-def test_an_attest_is_one_of_two_lengths(extra):
+# no ticket, a byte or half a ticket, a ticket a byte short, the one right
+# length, a byte over, and two tickets
+ATTEST_LENGTHS = [161, 162, 193, 224, ATTEST_LEN, 226, 289]
+
+
+@pytest.mark.parametrize("length", ATTEST_LENGTHS)
+def test_an_attest_is_one_length(length):
     c, s = spair()
 
     def fake_enclave():
@@ -1733,7 +1799,8 @@ def test_an_attest_is_one_of_two_lengths(extra):
         eph_pub = X25519PrivateKey.generate().public_key().public_bytes_raw()
         report_data = hashlib.sha256(eph_pub + nonce).digest()
         quote = AUTHORITY.sign(MEASUREMENT + report_data)
-        send_frame(s, b"\x11" + eph_pub + MEASUREMENT + report_data + quote + os.urandom(extra))
+        head = b"\x11" + eph_pub + MEASUREMENT + report_data + quote
+        send_frame(s, head + os.urandom(length - len(head)))
         try:
             frames.recv_frame()  # a FINISH, or the client hanging up
         except TransportError:
@@ -1749,11 +1816,12 @@ def test_an_attest_is_one_of_two_lengths(extra):
             signing_key=ALICE_KEY,
             expected_measurement=MEASUREMENT,
             authority_public=AUTHORITY_PUB,
+            ticket_slot=SLOT,
         )
-        if extra in (0, _TICKET_LEN):
+        if length == ATTEST_LEN:
             handshake()
         else:
-            with pytest.raises(DecodeError, match="malformed attestation"):
+            with pytest.raises(DecodeError, match="^malformed attestation message$"):
                 handshake()
     finally:
         c.close()
@@ -1768,9 +1836,9 @@ def test_the_client_ticket_table_stays_within_its_bound(monkeypatch):
     try:
         for i in range(10):
             call_once(mon, client_name=f"peer-{i}", signing_key=None)
-            assert len(_TICKETS) <= 4
-        assert _TICKETS.get(slot_of(mon, "peer-9", None)) is not None
-        assert _TICKETS.get(slot_of(mon, "peer-0", None)) is None
+            assert len(attest._TICKETS) <= 4
+        assert attest._TICKETS.get(slot_of(mon, "peer-9", None)) is not None
+        assert attest._TICKETS.get(slot_of(mon, "peer-0", None)) is None
     finally:
         stop_all((mon, thread))
 

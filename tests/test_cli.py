@@ -157,6 +157,13 @@ def test_client_requires_concrete_port(tmp_path, capsys):
     assert main(["client", "--role", "user", "--port", "0"]) == 2
 
 
+def test_an_attested_client_without_authority_public_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # no config at all, in an empty directory: nothing names the authority key
+    monkeypatch.chdir(tmp_path)
+    assert main(["client", "--role", "user", "--port", "7999"]) == 2
+    assert "authority_public" in capsys.readouterr().err
+
+
 def test_measurement_probe_is_config_sensitive():
     a = _probe_measurement(RunConfig(app="password-checker"))
     b = _probe_measurement(RunConfig(app="attack-demo"))
