@@ -30,11 +30,9 @@ from .labels import (
     DC_BOTTOM,
     DC_PUBLIC,
     DC_TOP,
-    Clause,
     DCLabel,
     EMPTY_PRIVILEGE,
     LabeledValue,
-    Principal,
     Privilege,
     can_flow_to,
     can_flow_to_p,
@@ -78,11 +76,9 @@ __all__ = [
     "DC_BOTTOM",
     "DC_PUBLIC",
     "DC_TOP",
-    "Clause",
     "DCLabel",
     "EMPTY_PRIVILEGE",
     "LabeledValue",
-    "Principal",
     "Privilege",
     "can_flow_to",
     "can_flow_to_p",

@@ -270,6 +270,15 @@ def build_leaky_program(secret: str = "s3cr3t-token") -> Callable[[App], None]:
     return program
 
 
+def _load_key(load: Callable[[str], object], key: str, path: str):
+    """``load(path)`` for the key file that config key ``key`` names; a
+    missing or malformed file is a usage error naming that key."""
+    try:
+        return load(path)
+    except (OSError, ValueError, CryptoError) as e:
+        raise UsageError(f"config key {key}: {e}") from e
+
+
 def _cleanroom_config(cfg: RunConfig, role: str) -> CleanRoomConfig:
     from .cleanroom import CleanRoomConfig
 
@@ -278,11 +287,15 @@ def _cleanroom_config(cfg: RunConfig, role: str) -> CleanRoomConfig:
     if role == ENCLAVE_ROLE:
         if not cfg.consumer_public_key:
             raise UsageError("cleanroom enclave needs consumer_public_key in the config")
-        consumer_public = load_exchange_public(cfg.consumer_public_key)
+        consumer_public = _load_key(
+            load_exchange_public, "consumer_public_key", cfg.consumer_public_key
+        )
     if role == cfg.consumer:
         if not cfg.consumer_private_key:
             raise UsageError(f"{role} needs consumer_private_key in the config")
-        consumer_private = load_exchange_private(cfg.consumer_private_key)
+        consumer_private = _load_key(
+            load_exchange_private, "consumer_private_key", cfg.consumer_private_key
+        )
     return CleanRoomConfig(
         provider_a=cfg.providers[0],
         provider_b=cfg.providers[1],
@@ -362,6 +375,10 @@ def cmd_provision(args: argparse.Namespace) -> int:
 
     for (label, _, generate), (priv_path, pub_path) in zip(pairs, targets):
         key = generate()
+        # readable by its owner only before the key is written, also over an
+        # existing file, which would keep its mode
+        priv_path.touch()
+        priv_path.chmod(0o600)
         save_key_hex(priv_path, private_raw(key))
         pub = public_raw(key.public_key())
         save_key_hex(pub_path, pub)
@@ -430,9 +447,12 @@ def cmd_enclave(args: argparse.Namespace) -> int:
     if cfg.attestation:
         if not cfg.authority_private:
             raise UsageError("attested serving needs authority_private in the config")
-        authority_private = load_signing_private(cfg.authority_private)
+        authority_private = _load_key(
+            load_signing_private, "authority_private", cfg.authority_private
+        )
         credentials = {
-            name: load_signing_public(path) for name, path in cfg.client_keys.items()
+            name: _load_key(load_signing_public, "client_keys", path)
+            for name, path in cfg.client_keys.items()
         }
 
     monitor = _stage_enclave(cfg, authority_private, credentials)
@@ -456,13 +476,15 @@ def _gateway_factory(cfg: RunConfig, role: str) -> Callable[[], object]:
     if cfg.attestation:
         if not cfg.authority_public:
             raise UsageError("an attested client needs authority_public in the config")
-        authority_public = load_signing_public(cfg.authority_public)
+        authority_public = _load_key(
+            load_signing_public, "authority_public", cfg.authority_public
+        )
     signing_key = None
     if cfg.attestation and cfg.client_sig:
         path = cfg.signing_keys.get(role)
         if not path:
             raise UsageError(f"no signing key configured for role {role!r}")
-        signing_key = load_signing_private(path)
+        signing_key = _load_key(load_signing_private, "signing_keys", path)
 
     return functools.partial(
         connect_channel,

@@ -1,9 +1,11 @@
 """DC labels: CNF policy formulas over principals and the flow lattice.
 
 A policy is a monotone boolean formula in conjunctive normal form: a set
-of clauses, each clause a disjunction of principals.  A label pairs a
-secrecy formula with an integrity formula.  Labels are ordered by
-``can_flow_to``; privileges relax that order via ``can_flow_to_p``.
+of clauses, each clause a set of principal names read as their
+disjunction.  A ``CNF`` holds them as a frozenset of frozensets of ``str``.
+A label pairs a secrecy formula with an integrity formula.  Labels are
+ordered by ``can_flow_to``; privileges relax that order via
+``can_flow_to_p``.
 
 All operations return canonical CNFs: an antichain of clauses (no clause
 contains another), with ``True`` the empty clause set and ``False`` the
@@ -26,7 +28,8 @@ pin large labels.
 ``read_cnf`` refuses a CNF of more than ``LABEL_MAX_CLAUSES`` clauses
 before it builds any, so its canonical check, which compares every pair
 of clauses, stays cheap however a peer pads a label; ``encode_cnf``
-refuses the same, so nothing encoded here is undecodable.
+refuses the same, and every principal name that the decoder refuses
+(empty, or holding NUL), so nothing encoded here is undecodable.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from typing import Iterable
 from .errors import LabelError, Record
 
 __all__ = [
-    "Principal",
-    "Clause",
     "CNF",
     "DCLabel",
     "Privilege",
@@ -75,51 +76,34 @@ __all__ = [
 ]
 
 
-class Principal(Record):
-    """A named party.  Prototype representation is a plain string; the
-    codec length-prefixes names so key-hash principals drop in later."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        if not name:
-            raise LabelError("principal name must be non-empty")
-        if "\x00" in name:
-            raise LabelError("principal name must not contain NUL")
-        object.__setattr__(self, "name", name)
-
-    def __repr__(self) -> str:
-        return self.name
+def _checked_name(name: str) -> str:
+    """``name`` if it may name a principal: non-empty, without NUL."""
+    if not name:
+        raise LabelError("principal name must be non-empty")
+    if "\x00" in name:
+        raise LabelError("principal name must not contain NUL")
+    return name
 
 
-class Clause(Record):
-    """One disjunctive category: any of these principals satisfies it."""
-
-    __slots__ = ("principals",)
-
-    def __init__(self, principals: frozenset[Principal]) -> None:
-        object.__setattr__(self, "principals", principals)
-
-    def sorted_names(self) -> list[str]:
-        return sorted((p.name for p in self.principals), key=lambda n: n.encode("utf-8"))
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(self.sorted_names()) + "}"
+def _sorted_names(clause: frozenset[str]) -> list[str]:
+    """A clause's names in canonical order, by their UTF-8 bytes."""
+    return sorted(clause, key=lambda n: n.encode("utf-8"))
 
 
 class CNF(Record):
-    """A conjunction of clauses.  Canonical once reduced to an antichain."""
+    """A conjunction of clauses, each a set of principal names any one of
+    which satisfies it.  Canonical once reduced to an antichain."""
 
     __slots__ = ("clauses",)
 
-    def __init__(self, clauses: frozenset[Clause]) -> None:
+    def __init__(self, clauses: frozenset[frozenset[str]]) -> None:
         object.__setattr__(self, "clauses", clauses)
 
     def is_true(self) -> bool:
         return not self.clauses
 
     def is_false(self) -> bool:
-        return len(self.clauses) == 1 and not next(iter(self.clauses)).principals
+        return len(self.clauses) == 1 and not next(iter(self.clauses))
 
     def sole_principal(self) -> str | None:
         """The single principal name, when the formula is exactly one
@@ -127,20 +111,21 @@ class CNF(Record):
         if len(self.clauses) != 1:
             return None
         only = next(iter(self.clauses))
-        if len(only.principals) != 1:
+        if len(only) != 1:
             return None
-        return next(iter(only.principals)).name
+        return next(iter(only))
 
     def __repr__(self) -> str:
         if self.is_true():
             return "True"
         if self.is_false():
             return "False"
-        return "{" + ",".join(sorted(repr(c) for c in self.clauses)) + "}"
+        clauses = ("{" + ",".join(_sorted_names(c)) + "}" for c in self.clauses)
+        return "{" + ",".join(sorted(clauses)) + "}"
 
 
 CNF_TRUE = CNF(frozenset())
-CNF_FALSE = CNF(frozenset({Clause(frozenset())}))
+CNF_FALSE = CNF(frozenset({frozenset()}))
 
 
 def cnf(*clauses: Iterable[str]) -> CNF:
@@ -148,29 +133,21 @@ def cnf(*clauses: Iterable[str]) -> CNF:
 
     ``cnf({"Alice"}, {"Bob", "Carol"})`` is (Alice) AND (Bob OR Carol).
     """
-    built = frozenset(
-        Clause(frozenset(Principal(n) for n in group)) for group in clauses
-    )
+    built = frozenset(frozenset(map(_checked_name, group)) for group in clauses)
     return cnf_reduce(CNF(built))
 
 
 def cnf_from_principal(name: str) -> CNF:
     """The CNF asserting a single principal."""
-    return CNF(frozenset({Clause(frozenset({Principal(name)}))}))
+    return CNF(frozenset({frozenset({_checked_name(name)})}))
 
 
 def cnf_reduce(a: CNF) -> CNF:
     """Canonicalize: an empty clause collapses the formula to False,
     otherwise drop every clause that is a superset of another clause."""
-    for c in a.clauses:
-        if not c.principals:
-            return CNF_FALSE
-    kept = frozenset(
-        c
-        for c in a.clauses
-        if not any(d.principals < c.principals for d in a.clauses)
-    )
-    return CNF(kept)
+    if frozenset() in a.clauses:
+        return CNF_FALSE
+    return CNF(frozenset(c for c in a.clauses if not any(d < c for d in a.clauses)))
 
 
 def cnf_and(a: CNF, b: CNF) -> CNF:
@@ -184,10 +161,7 @@ def cnf_or(a: CNF, b: CNF) -> CNF:
     Or with True yields True (empty product); or with False yields the
     other operand (the empty clause is the unit of union).
     """
-    pairs = frozenset(
-        Clause(x.principals | y.principals) for x in a.clauses for y in b.clauses
-    )
-    return cnf_reduce(CNF(pairs))
+    return cnf_reduce(CNF(frozenset(x | y for x in a.clauses for y in b.clauses)))
 
 
 def cnf_implies(a: CNF, b: CNF) -> bool:
@@ -196,9 +170,7 @@ def cnf_implies(a: CNF, b: CNF) -> bool:
     For monotone CNFs the syntactic check suffices: every clause of ``b``
     must be covered by some clause of ``a`` that is a subset of it.
     """
-    return all(
-        any(d.principals <= c.principals for d in a.clauses) for c in b.clauses
-    )
+    return all(any(d <= c for d in a.clauses) for c in b.clauses)
 
 
 # One live object per interned value, keyed on its class and then its
@@ -348,13 +320,13 @@ class LabeledValue(Record):
 _U16 = struct.Struct(">H")
 
 
-def _encode_clause(c: Clause) -> bytes:
-    names = c.sorted_names()
+def _encode_clause(c: frozenset[str]) -> bytes:
+    names = _sorted_names(c)
     if len(names) > 0xFFFF:
         raise LabelError("clause too large to encode")
     out = [_U16.pack(len(names))]
     for name in names:
-        raw = name.encode("utf-8")
+        raw = _checked_name(name).encode("utf-8")
         if len(raw) > 0xFFFF:
             raise LabelError("principal name too long to encode")
         out.append(_U16.pack(len(raw)))
@@ -380,7 +352,7 @@ def read_cnf(buf: bytes, pos: int) -> tuple[CNF, int]:
         if len(buf) - pos < 2 * count:
             raise LabelError("truncated label encoding")
         raise LabelError(f"CNF has more than {LABEL_MAX_CLAUSES} clauses")
-    clauses: list[Clause] = []
+    clauses: list[frozenset[str]] = []
     prev_enc: bytes | None = None
     for _ in range(count):
         start = pos
@@ -405,7 +377,7 @@ def read_cnf(buf: bytes, pos: int) -> tuple[CNF, int]:
         if prev_enc is not None and enc <= prev_enc:
             raise LabelError("clauses not in canonical order")
         prev_enc = enc
-        clauses.append(Clause(frozenset(Principal(n) for n in names)))
+        clauses.append(frozenset(map(_checked_name, names)))
     value = CNF(frozenset(clauses))
     if cnf_reduce(value) != value:
         raise LabelError("CNF is not a canonical antichain")

@@ -33,11 +33,9 @@ from enclaveflow.labels import (
     CNF,
     CNF_TRUE,
     DC_PUBLIC,
-    Clause,
     DCLabel,
     EMPTY_PRIVILEGE,
     LabeledValue,
-    Principal,
     Privilege,
     cnf_from_principal,
 )
@@ -314,7 +312,7 @@ def test_a_result_label_the_decoder_would_refuse_is_an_internal_error():
     # so the gate opens; the encoder then refuses more clauses than any
     # decoder accepts, and the caller reads the opaque error, not bytes it
     # cannot decode
-    endorsed = CNF(frozenset(Clause(frozenset({Principal(f"p{i:02}")})) for i in range(17)))
+    endorsed = CNF(frozenset(frozenset({f"p{i:02}"}) for i in range(17)))
     label = DCLabel(CNF_TRUE, endorsed)
 
     def program(app: App):

@@ -13,6 +13,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from enclaveflow import labels
 from enclaveflow.app import ENCLAVE_ROLE, App, DirectChannel, run_app
 from enclaveflow.cleanroom import (
     CleanRoomConfig,
@@ -41,11 +42,9 @@ from enclaveflow.labels import (
     CNF,
     CNF_TRUE,
     DC_PUBLIC,
-    Clause,
     DCLabel,
     EMPTY_PRIVILEGE,
     LabeledValue,
-    Principal,
     Privilege,
     cnf,
     read_label,
@@ -345,14 +344,15 @@ def test_upload_reads_only_its_own_label(monkeypatch):
 def test_warm_dispatches_compare_and_hash_no_label_parts(monkeypatch):
     # Counted, not timed: labels are interned and the label operations
     # memoized on them, so once warm neither checkpwd nor datasend compares
-    # or hashes a Principal, Clause or CNF.
+    # or hashes a CNF, nor builds or compares its clauses, which only
+    # cnf_reduce and cnf_implies do.
     counts: dict[tuple[str, str], int] = {}
 
-    def counting(cls, name):
-        method = getattr(cls, name)
+    def counting(owner, name):
+        method = getattr(owner, name)
 
         def wrapper(*args):
-            key = (cls.__name__, name)
+            key = (owner.__name__, name)
             counts[key] = counts.get(key, 0) + 1
             return method(*args)
 
@@ -371,9 +371,13 @@ def test_warm_dispatches_compare_and_hash_no_label_parts(monkeypatch):
         password.dispatch(request)
     for request in uploads:
         cleanroom.dispatch(request)
-    for cls in (Principal, Clause, CNF):
-        for name in ("__eq__", "__hash__"):
-            monkeypatch.setattr(cls, name, counting(cls, name))
+    for owner, name in (
+        (CNF, "__eq__"),
+        (CNF, "__hash__"),
+        (labels, "cnf_reduce"),
+        (labels, "cnf_implies"),
+    ):
+        monkeypatch.setattr(owner, name, counting(owner, name))
     for i in range(200):
         assert decode_message(password.dispatch(checks[i % 2])) == ResultOk(i % 2 == 0)
         assert decode_message(cleanroom.dispatch(uploads[i % 2])) == ResultOk(None)

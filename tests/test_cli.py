@@ -10,6 +10,7 @@ import io
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -262,6 +263,69 @@ def test_provision_refuses_overwrite(tmp_path, capsys):
         == 0
     )
     assert (out / "authority_public.hex").read_text() != first
+
+
+def test_provision_writes_private_keys_for_their_owner_only(tmp_path, capsys):
+    out = tmp_path / "keys"
+    argv = ["provision", "--out", str(out), "--clients", "user", "--exchange", "C1"]
+
+    def modes() -> dict[str, int]:
+        return {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+
+    umask = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+        first = modes()
+        for path in out.iterdir():  # as a copy or an older provision left them
+            path.chmod(0o644)
+        assert main([*argv, "--force"]) == 0
+        again = modes()
+    finally:
+        os.umask(umask)
+    for written in (first, again):
+        assert len(written) == 6
+        for name, mode in written.items():
+            assert mode == (0o600 if name.endswith("_private.hex") else 0o644), name
+
+
+# (config key, app, the command that loads it)
+KEY_LOADERS = [
+    ("authority_private", "password-checker", ["enclave", "--port", "0"]),
+    ("client_keys", "password-checker", ["enclave", "--port", "0"]),
+    ("authority_public", "password-checker", ["client", "--role", "user", "--port", "7999"]),
+    ("signing_keys", "password-checker", ["client", "--role", "user", "--port", "7999"]),
+    ("consumer_public_key", "cleanroom", ["enclave", "--port", "0"]),
+    ("consumer_private_key", "cleanroom", ["client", "--role", "C1", "--port", "7999"]),
+]
+
+
+@pytest.mark.parametrize("key, app, command", KEY_LOADERS, ids=[k for k, _, _ in KEY_LOADERS])
+@pytest.mark.parametrize(
+    "content", [None, b"not a hex key\n", b"\xff\xfe\n"], ids=["missing", "not-hex", "not-text"]
+)
+def test_a_bad_key_file_is_a_usage_error_naming_its_config_key(
+    tmp_path, capsys, key, app, command, content
+):
+    keys = tmp_path / "keys"
+    assert main(["provision", "--out", str(keys), "--clients", "user,C1", "--exchange", "C1"]) == 0
+    cfg = {
+        "app": app,
+        "authority_private": str(keys / "authority_private.hex"),
+        "authority_public": str(keys / "authority_public.hex"),
+        "client_keys": {n: str(keys / f"{n}_signing_public.hex") for n in ("user", "C1")},
+        "signing_keys": {n: str(keys / f"{n}_signing_private.hex") for n in ("user", "C1")},
+        "consumer_public_key": str(keys / "C1_exchange_public.hex"),
+        "consumer_private_key": str(keys / "C1_exchange_private.hex"),
+    }
+    bad = tmp_path / "bad.hex"
+    if content is not None:
+        bad.write_bytes(content)
+    cfg[key] = {n: str(bad) for n in cfg[key]} if isinstance(cfg[key], dict) else str(bad)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([*command, "--config", str(path)]) == 2
+    assert f"config key {key}: " in capsys.readouterr().err
 
 
 # --- the demo programs in-process ---------------------------------------------------

@@ -24,13 +24,11 @@ from enclaveflow.labels import (
     DC_BOTTOM,
     DC_PUBLIC,
     DC_TOP,
-    Clause,
     DCLabel,
     EMPTY_PRIVILEGE,
     LABEL_CACHE_SIZE,
     LABEL_INTERN_MAX,
     LABEL_MAX_CLAUSES,
-    Principal,
     Privilege,
     can_flow_to,
     can_flow_to_p,
@@ -77,7 +75,7 @@ def random_cnf(rng: random.Random, names: list[str]) -> CNF:
         return CNF_FALSE
     n_clauses = rng.randint(0, 3)
     clauses = frozenset(
-        Clause(frozenset(Principal(n) for n in rng.sample(names, rng.randint(1, len(names)))))
+        frozenset(rng.sample(names, rng.randint(1, len(names))))
         for _ in range(n_clauses)
     )
     return cnf_reduce(CNF(clauses))
@@ -150,12 +148,7 @@ def test_reduce_preserves_meaning_and_is_idempotent():
         n_clauses = rng.randint(0, 5)
         raw = CNF(
             frozenset(
-                Clause(
-                    frozenset(
-                        Principal(n)
-                        for n in rng.sample(names, rng.randint(0, len(names)))
-                    )
-                )
+                frozenset(rng.sample(names, rng.randint(0, len(names))))
                 for _ in range(n_clauses)
             )
         )
@@ -165,7 +158,7 @@ def test_reduce_preserves_meaning_and_is_idempotent():
 
 
 def test_reduce_collapses_empty_clause():
-    messy = CNF(frozenset({Clause(frozenset()), Clause(frozenset({Principal("A")}))}))
+    messy = CNF(frozenset({frozenset(), frozenset({"A"})}))
     assert cnf_reduce(messy) == CNF_FALSE
 
 
@@ -180,9 +173,7 @@ def test_reduce_drops_superset_clauses():
 names_st = st.sampled_from(["A", "B", "C"])
 clause_st = st.frozensets(names_st, min_size=1, max_size=3)
 cnf_st = st.builds(
-    lambda groups: cnf_reduce(
-        CNF(frozenset(Clause(frozenset(Principal(n) for n in g)) for g in groups))
-    ),
+    lambda groups: cnf_reduce(CNF(groups)),
     st.frozensets(clause_st, max_size=4),
 )
 
@@ -351,9 +342,7 @@ def test_label_caches_stay_bounded_under_distinct_labels():
 
 def _rebuilt(a: CNF) -> CNF:
     """An equal CNF sharing no object with ``a``."""
-    return CNF(
-        frozenset(Clause(frozenset(Principal(p.name) for p in c.principals)) for c in a.clauses)
-    )
+    return CNF(frozenset(frozenset(n for n in c) for c in a.clauses))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -540,10 +529,32 @@ def test_decode_rejects_bad_utf8_and_bad_names():
 
 
 def test_principal_validation():
-    with pytest.raises(LabelError):
-        Principal("")
-    with pytest.raises(LabelError):
-        Principal("a\x00b")
+    with pytest.raises(LabelError, match="non-empty"):
+        cnf({""})
+    with pytest.raises(LabelError, match="NUL"):
+        cnf({"a", "b\x00"})
+    with pytest.raises(LabelError, match="non-empty"):
+        cnf_from_principal("")
+    with pytest.raises(LabelError, match="NUL"):
+        cnf_from_principal("a\x00b")
+
+
+@pytest.mark.parametrize("name", ["", "a\x00b"], ids=["empty", "nul"])
+def test_the_encoder_refuses_a_name_no_decoder_accepts(name):
+    # a CNF built by hand skips cnf()'s check; the encoder checks again, so
+    # nothing encoded here is undecodable
+    hand_built = CNF(frozenset({frozenset({"Alice", name})}))
+    with pytest.raises(LabelError, match="^principal name must"):
+        encode_cnf(hand_built)
+    with pytest.raises(LabelError, match="^principal name must"):
+        encode_label(DCLabel(CNF_TRUE, hand_built))
+
+
+def test_a_clause_out_of_order_is_refused_before_its_empty_name():
+    # the second clause holds one empty name, and its bytes sort before
+    # those of ``{B}``: the parse checks a clause's order before its names
+    with pytest.raises(LabelError, match="^clauses not in canonical order$"):
+        decode_cnf(b"\x00\x02\x00\x01\x00\x01B\x00\x01\x00\x00")
 
 
 # --- interning at the codec ----------------------------------------------------
@@ -621,6 +632,18 @@ def test_only_labels_within_the_bound_are_interned():
     first, second = decode_label(over), decode_label(over)
     assert first == second == uncached_parse(over) and first is second
     assert labels._intern_label.cache_info() == before  # neither looked up nor stored
+
+
+def test_a_label_whose_last_clause_is_empty_and_ends_the_buffer_is_interned():
+    # DC_BOTTOM's integrity is False, one clause of no names: the label's
+    # last u16 is that clause's name count, and it ends the buffer
+    raw = encode_label(DC_BOTTOM)
+    assert raw == b"\x00\x00\x00\x01\x00\x00"
+    labels._intern_label.cache_clear()
+    assert decode_label(raw) is DC_BOTTOM
+    assert decode_label(raw) is DC_BOTTOM
+    info = labels._intern_label.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_a_principal_name_of_65535_bytes_round_trips():
@@ -734,7 +757,7 @@ def test_a_huge_clause_count_with_no_clauses_fails_at_once():
 
 
 def singleton_clauses(n: int) -> CNF:
-    return CNF(frozenset(Clause(frozenset({Principal(f"p{i:04}")})) for i in range(n)))
+    return CNF(frozenset(frozenset({f"p{i:04}"}) for i in range(n)))
 
 
 def singleton_clauses_encoded(n: int) -> bytes:

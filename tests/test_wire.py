@@ -17,11 +17,9 @@ from enclaveflow.labels import (
     CNF_FALSE,
     CNF_TRUE,
     DC_PUBLIC,
-    Clause,
     DCLabel,
     EMPTY_PRIVILEGE,
     LabeledValue,
-    Principal,
     cnf_from_principal,
     cnf_reduce,
 )
@@ -139,9 +137,7 @@ cnf_st = st.one_of(
         st.frozensets(st.sampled_from(["Alice", "Bob", "P1", "ω"]), min_size=1, max_size=3),
         max_size=3,
     ).map(
-        lambda groups: cnf_reduce(
-            CNF(frozenset(Clause(frozenset(Principal(n) for n in g)) for g in groups))
-        )
+        lambda groups: cnf_reduce(CNF(groups))
     ),
 )
 label_st = st.builds(DCLabel, cnf_st, cnf_st)

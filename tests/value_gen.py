@@ -8,10 +8,8 @@ from enclaveflow.labels import (
     CNF,
     CNF_FALSE,
     DC_PUBLIC,
-    Clause,
     DCLabel,
     LabeledValue,
-    Principal,
     cnf_reduce,
 )
 from enclaveflow.ifc import make_labeled
@@ -27,7 +25,7 @@ def random_cnf(rng: random.Random) -> CNF:
     if rng.random() < 0.05:
         return CNF_FALSE
     clauses = frozenset(
-        Clause(frozenset(Principal(n) for n in rng.sample(NAMES, rng.randint(1, 3))))
+        frozenset(rng.sample(NAMES, rng.randint(1, 3)))
         for _ in range(rng.randint(0, 2))
     )
     return cnf_reduce(CNF(clauses))
