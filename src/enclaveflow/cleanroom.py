@@ -35,6 +35,7 @@ from .labels import (
     LabeledValue,
     Privilege,
     cnf_from_principal,
+    sole_principal,
 )
 from .wire import Value, decode_value, encode_value
 
@@ -215,7 +216,7 @@ def build_cleanroom_program(cfg: CleanRoomConfig) -> Callable[[App], None]:
 
         def runquery(ctx: IfcContext) -> bytes:
             stored = ctx.read_ref(db)
-            owners = [lrow.label.secrecy.sole_principal() for lrow in stored]
+            owners = [sole_principal(lrow.label.secrecy) for lrow in stored]
             counts = Counter(owners)
             for name in (cfg.provider_a, cfg.provider_b):
                 if counts[name] < cfg.thresholds.get(name, 1):

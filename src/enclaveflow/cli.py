@@ -53,6 +53,7 @@ from .errors import (
     EnclaveFlowError,
     ErrorCode,
     IfcViolation,
+    LabelError,
     RemoteError,
     StagingError,
     TransportError,
@@ -167,6 +168,11 @@ class RunConfig:
             raise UsageError("port must be in 0-65535")
         if len(self.providers) != 2:
             raise UsageError("exactly two providers are supported")
+        for name in self.providers:  # each must name a principal
+            try:
+                cnf_from_principal(name)
+            except LabelError as e:
+                raise UsageError(f"config key providers: {e}") from None
         _measured("code_version", self.code_version)
         if not self.attestation and self.client_sig:
             raise UsageError(
@@ -343,8 +349,16 @@ def _expected_measurement(cfg: RunConfig) -> bytes:
 # --- provision ------------------------------------------------------------------------
 
 
-def _split_names(spec: str) -> list[str]:
-    return [n.strip() for n in spec.split(",") if n.strip()]
+def _split_names(flag: str, spec: str) -> list[str]:
+    """The names a comma-separated ``flag`` lists.  Each name becomes key
+    file names, so it must be one file-name component, and none may repeat."""
+    names = [n.strip() for n in spec.split(",") if n.strip()]
+    for i, name in enumerate(names):
+        if "/" in name or "\x00" in name or name in (".", ".."):
+            raise UsageError(f"{flag}: {name!r} is not a single file name")
+        if name in names[:i]:
+            raise UsageError(f"{flag} names {name!r} twice")
+    return names
 
 
 def cmd_provision(args: argparse.Namespace) -> int:
@@ -357,10 +371,13 @@ def cmd_provision(args: argparse.Namespace) -> int:
 
     # (printed label, file stem, key generator), in generation order
     pairs = [("authority", "authority", signing_key)]
-    pairs += [(f"{n} signing", f"{n}_signing", signing_key) for n in _split_names(args.clients)]
+    pairs += [
+        (f"{n} signing", f"{n}_signing", signing_key)
+        for n in _split_names("--clients", args.clients)
+    ]
     pairs += [
         (f"{n} exchange", f"{n}_exchange", X25519PrivateKey.generate)
-        for n in _split_names(args.exchange)
+        for n in _split_names("--exchange", args.exchange)
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -2,7 +2,9 @@
 
 A policy is a monotone boolean formula in conjunctive normal form: a set
 of clauses, each clause a set of principal names read as their
-disjunction.  A ``CNF`` holds them as a frozenset of frozensets of ``str``.
+disjunction.  A formula is a plain ``frozenset`` of clauses and a clause a
+``frozenset`` of names, as LIO's ``Set (Set Principal)``; ``CNF`` is only
+the name of that type, so formulas compare, hash and pickle as frozensets.
 A label pairs a secrecy formula with an integrity formula.  Labels are
 ordered by ``can_flow_to``; privileges relax that order via
 ``can_flow_to_p``.
@@ -62,6 +64,7 @@ __all__ = [
     "cnf_or",
     "cnf_implies",
     "cnf_reduce",
+    "sole_principal",
     "can_flow_to",
     "can_flow_to_p",
     "join",
@@ -90,42 +93,26 @@ def _sorted_names(clause: frozenset[str]) -> list[str]:
     return sorted(clause, key=lambda n: n.encode("utf-8"))
 
 
-class CNF(Record):
-    """A conjunction of clauses, each a set of principal names any one of
-    which satisfies it.  Canonical once reduced to an antichain."""
-
-    __slots__ = ("clauses",)
-
-    def __init__(self, clauses: frozenset[frozenset[str]]) -> None:
-        object.__setattr__(self, "clauses", clauses)
-
-    def is_true(self) -> bool:
-        return not self.clauses
-
-    def is_false(self) -> bool:
-        return len(self.clauses) == 1 and not next(iter(self.clauses))
-
-    def sole_principal(self) -> str | None:
-        """The single principal name, when the formula is exactly one
-        singleton clause; None otherwise."""
-        if len(self.clauses) != 1:
-            return None
-        only = next(iter(self.clauses))
-        if len(only) != 1:
-            return None
-        return next(iter(only))
-
-    def __repr__(self) -> str:
-        if self.is_true():
-            return "True"
-        if self.is_false():
-            return "False"
-        clauses = ("{" + ",".join(_sorted_names(c)) + "}" for c in self.clauses)
-        return "{" + ",".join(sorted(clauses)) + "}"
+CNF = frozenset[frozenset[str]]
+CNF_TRUE: CNF = frozenset()
+CNF_FALSE: CNF = frozenset({frozenset()})
 
 
-CNF_TRUE = CNF(frozenset())
-CNF_FALSE = CNF(frozenset({frozenset()}))
+def sole_principal(a: CNF) -> str | None:
+    """The single principal name, when the formula is exactly one singleton
+    clause; None otherwise."""
+    only = next(iter(a)) if len(a) == 1 else ()
+    return next(iter(only)) if len(only) == 1 else None
+
+
+def _formula_repr(a: CNF) -> str:
+    """``True``, ``False``, or the clauses as ``{{A},{B,C}}``, sorted."""
+    if not a:
+        return "True"
+    if a == CNF_FALSE:
+        return "False"
+    clauses = ("{" + ",".join(_sorted_names(c)) + "}" for c in a)
+    return "{" + ",".join(sorted(clauses)) + "}"
 
 
 def cnf(*clauses: Iterable[str]) -> CNF:
@@ -133,26 +120,25 @@ def cnf(*clauses: Iterable[str]) -> CNF:
 
     ``cnf({"Alice"}, {"Bob", "Carol"})`` is (Alice) AND (Bob OR Carol).
     """
-    built = frozenset(frozenset(map(_checked_name, group)) for group in clauses)
-    return cnf_reduce(CNF(built))
+    return cnf_reduce(frozenset(frozenset(map(_checked_name, group)) for group in clauses))
 
 
 def cnf_from_principal(name: str) -> CNF:
     """The CNF asserting a single principal."""
-    return CNF(frozenset({frozenset({_checked_name(name)})}))
+    return frozenset({frozenset({_checked_name(name)})})
 
 
 def cnf_reduce(a: CNF) -> CNF:
     """Canonicalize: an empty clause collapses the formula to False,
     otherwise drop every clause that is a superset of another clause."""
-    if frozenset() in a.clauses:
+    if frozenset() in a:
         return CNF_FALSE
-    return CNF(frozenset(c for c in a.clauses if not any(d < c for d in a.clauses)))
+    return frozenset(c for c in a if not any(d < c for d in a))
 
 
 def cnf_and(a: CNF, b: CNF) -> CNF:
     """Conjunction: the union of clause sets, reduced."""
-    return cnf_reduce(CNF(a.clauses | b.clauses))
+    return cnf_reduce(a | b)
 
 
 def cnf_or(a: CNF, b: CNF) -> CNF:
@@ -161,7 +147,7 @@ def cnf_or(a: CNF, b: CNF) -> CNF:
     Or with True yields True (empty product); or with False yields the
     other operand (the empty clause is the unit of union).
     """
-    return cnf_reduce(CNF(frozenset(x | y for x in a.clauses for y in b.clauses)))
+    return cnf_reduce(frozenset(x | y for x in a for y in b))
 
 
 def cnf_implies(a: CNF, b: CNF) -> bool:
@@ -170,7 +156,7 @@ def cnf_implies(a: CNF, b: CNF) -> bool:
     For monotone CNFs the syntactic check suffices: every clause of ``b``
     must be covered by some clause of ``a`` that is a subset of it.
     """
-    return all(any(d <= c for d in a.clauses) for c in b.clauses)
+    return all(any(d <= c for d in a) for c in b)
 
 
 # One live object per interned value, keyed on its class and then its
@@ -212,7 +198,7 @@ class DCLabel(_Interned):
         return _intern((cls, secrecy, integrity))
 
     def __repr__(self) -> str:
-        return f"<{self.secrecy!r},{self.integrity!r}>"
+        return f"<{_formula_repr(self.secrecy)},{_formula_repr(self.integrity)}>"
 
 
 DC_PUBLIC = DCLabel(CNF_TRUE, CNF_TRUE)
@@ -234,7 +220,7 @@ class Privilege(_Interned):
         return cls(cnf_from_principal(name))
 
     def __repr__(self) -> str:
-        return f"Privilege({self.description!r})"
+        return f"Privilege({_formula_repr(self.description)})"
 
 
 EMPTY_PRIVILEGE = Privilege(CNF_TRUE)
@@ -286,13 +272,9 @@ def downgrade(p: Privilege, l: DCLabel) -> DCLabel:
     ``can_flow_to_p(p, l, l2)`` iff ``can_flow_to(downgrade(p, l), l2)``.
     """
     remaining = frozenset(
-        c
-        for c in l.secrecy.clauses
-        if not cnf_implies(p.description, CNF(frozenset({c})))
+        c for c in l.secrecy if not cnf_implies(p.description, frozenset({c}))
     )
-    return DCLabel(
-        cnf_reduce(CNF(remaining)), cnf_and(l.integrity, p.description)
-    )
+    return DCLabel(cnf_reduce(remaining), cnf_and(l.integrity, p.description))
 
 
 class LabeledValue(Record):
@@ -335,10 +317,10 @@ def _encode_clause(c: frozenset[str]) -> bytes:
 
 
 def encode_cnf(a: CNF) -> bytes:
-    if len(a.clauses) > LABEL_MAX_CLAUSES:
+    if len(a) > LABEL_MAX_CLAUSES:
         raise LabelError(f"CNF has more than {LABEL_MAX_CLAUSES} clauses")
-    encoded = sorted(_encode_clause(c) for c in a.clauses)
-    return _U16.pack(len(a.clauses)) + b"".join(encoded)
+    encoded = sorted(_encode_clause(c) for c in a)
+    return _U16.pack(len(a)) + b"".join(encoded)
 
 
 def read_cnf(buf: bytes, pos: int) -> tuple[CNF, int]:
@@ -378,7 +360,7 @@ def read_cnf(buf: bytes, pos: int) -> tuple[CNF, int]:
             raise LabelError("clauses not in canonical order")
         prev_enc = enc
         clauses.append(frozenset(map(_checked_name, names)))
-    value = CNF(frozenset(clauses))
+    value = frozenset(clauses)
     if cnf_reduce(value) != value:
         raise LabelError("CNF is not a canonical antichain")
     return value, pos

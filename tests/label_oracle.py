@@ -14,12 +14,12 @@ from enclaveflow.labels import CNF, DCLabel
 
 
 def all_principals(*formulas: CNF) -> list[str]:
-    names = {n for f in formulas for c in f.clauses for n in c}
+    names = {n for f in formulas for c in f for n in c}
     return sorted(names)
 
 
 def satisfied(a: CNF, true_names: frozenset[str]) -> bool:
-    return all(any(n in true_names for n in c) for c in a.clauses)
+    return all(any(n in true_names for n in c) for c in a)
 
 
 def oracle_implies(a: CNF, b: CNF) -> bool:
@@ -53,10 +53,10 @@ def enumerate_canonical_cnfs(names: list[str]) -> list[CNF]:
     """Every canonical CNF over the given principals: all antichains of
     nonempty clauses, plus False.  Sizes: 6 for two names, 20 for three."""
     subsets = nonempty_subsets(names)
-    results = [CNF(frozenset({frozenset()}))]  # False
+    results = [frozenset({frozenset()})]  # False
     for picks in itertools.product([False, True], repeat=len(subsets)):
         chosen = [s for s, keep in zip(subsets, picks) if keep]
         if any(a < b for a in chosen for b in chosen):
             continue
-        results.append(CNF(frozenset(chosen)))
+        results.append(frozenset(chosen))
     return results

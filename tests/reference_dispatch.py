@@ -18,7 +18,7 @@ from label_oracle import oracle_can_flow_to as flows, oracle_implies
 from enclaveflow.attest import MAX_MESSAGE
 from enclaveflow.errors import IFC_VIOLATION_MESSAGE, DecodeError, ErrorCode, IfcViolation
 from enclaveflow.errors import LabelError, NotReady
-from enclaveflow.labels import CNF, DCLabel, LabeledValue, cnf_and, cnf_or, cnf_reduce
+from enclaveflow.labels import DCLabel, LabeledValue, cnf_and, cnf_or, cnf_reduce
 from enclaveflow.labels import encode_cnf, read_cnf
 
 MAX_DEPTH = 64
@@ -34,8 +34,8 @@ def join(a: DCLabel, b: DCLabel) -> DCLabel:
 def downgrade(p, l: DCLabel) -> DCLabel:
     """Drop each secrecy clause the privilege speaks for; endorse integrity.
     ``p`` lets ``a`` flow to ``b`` iff ``downgrade(p, a)`` flows to ``b``."""
-    kept = [c for c in l.secrecy.clauses if not oracle_implies(p.description, CNF(frozenset({c})))]
-    return DCLabel(cnf_reduce(CNF(frozenset(kept))), cnf_and(l.integrity, p.description))
+    kept = [c for c in l.secrecy if not oracle_implies(p.description, frozenset({c}))]
+    return DCLabel(cnf_reduce(frozenset(kept)), cnf_and(l.integrity, p.description))
 
 
 def copy(v, depth: int = 0):

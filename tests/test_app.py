@@ -30,7 +30,6 @@ from enclaveflow.errors import (
 )
 from enclaveflow.ifc import IfcContext, LabeledRef
 from enclaveflow.labels import (
-    CNF,
     CNF_TRUE,
     DC_PUBLIC,
     DCLabel,
@@ -312,7 +311,7 @@ def test_a_result_label_the_decoder_would_refuse_is_an_internal_error():
     # so the gate opens; the encoder then refuses more clauses than any
     # decoder accepts, and the caller reads the opaque error, not bytes it
     # cannot decode
-    endorsed = CNF(frozenset(frozenset({f"p{i:02}"}) for i in range(17)))
+    endorsed = frozenset(frozenset({f"p{i:02}"}) for i in range(17))
     label = DCLabel(CNF_TRUE, endorsed)
 
     def program(app: App):

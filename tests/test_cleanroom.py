@@ -39,15 +39,17 @@ from enclaveflow.errors import (
 )
 from enclaveflow.ifc import IfcContext, make_labeled
 from enclaveflow.labels import (
-    CNF,
     CNF_TRUE,
     DC_PUBLIC,
+    DC_TOP,
     DCLabel,
     EMPTY_PRIVILEGE,
     LabeledValue,
     Privilege,
+    can_flow_to,
     cnf,
     read_label,
+    sole_principal,
 )
 from enclaveflow.wire import (
     MSG_RESULT_OK,
@@ -103,11 +105,11 @@ def test_provider_label_shape():
 
 
 def test_extract_org_name():
-    # The clean room reads a row's owner off its secrecy as CNF.sole_principal.
-    assert provider_label("P1").secrecy.sole_principal() == "P1"
-    assert DC_PUBLIC.secrecy.sole_principal() is None
-    assert DCLabel(cnf({"P1"}, {"P2"}), CNF_TRUE).secrecy.sole_principal() is None  # joint
-    assert DCLabel(cnf({"P1", "P2"}), CNF_TRUE).secrecy.sole_principal() is None  # either
+    # The clean room reads a row's owner off its secrecy with sole_principal.
+    assert sole_principal(provider_label("P1").secrecy) == "P1"
+    assert sole_principal(DC_PUBLIC.secrecy) is None
+    assert sole_principal(DCLabel(cnf({"P1"}, {"P2"}), CNF_TRUE).secrecy) is None  # joint
+    assert sole_principal(DCLabel(cnf({"P1", "P2"}), CNF_TRUE).secrecy) is None  # either
 
 
 # --- the query function ---------------------------------------------------------------
@@ -343,17 +345,17 @@ def test_upload_reads_only_its_own_label(monkeypatch):
 
 def test_warm_dispatches_compare_and_hash_no_label_parts(monkeypatch):
     # Counted, not timed: labels are interned and the label operations
-    # memoized on them, so once warm neither checkpwd nor datasend compares
-    # or hashes a CNF, nor builds or compares its clauses, which only
-    # cnf_reduce and cnf_implies do.
-    counts: dict[tuple[str, str], int] = {}
+    # memoized on them, so once warm neither checkpwd nor datasend builds a
+    # label or privilege, each of which goes through labels._intern once,
+    # nor builds or compares clauses, which only cnf_reduce and cnf_implies
+    # do.
+    counts: dict[str, int] = {}
 
-    def counting(owner, name):
-        method = getattr(owner, name)
+    def counting(name):
+        method = getattr(labels, name)
 
         def wrapper(*args):
-            key = (owner.__name__, name)
-            counts[key] = counts.get(key, 0) + 1
+            counts[name] = counts.get(name, 0) + 1
             return method(*args)
 
         return wrapper
@@ -371,19 +373,16 @@ def test_warm_dispatches_compare_and_hash_no_label_parts(monkeypatch):
         password.dispatch(request)
     for request in uploads:
         cleanroom.dispatch(request)
-    for owner, name in (
-        (CNF, "__eq__"),
-        (CNF, "__hash__"),
-        (labels, "cnf_reduce"),
-        (labels, "cnf_implies"),
-    ):
-        monkeypatch.setattr(owner, name, counting(owner, name))
+    for name in ("_intern", "cnf_reduce", "cnf_implies"):
+        monkeypatch.setattr(labels, name, counting(name))
     for i in range(200):
         assert decode_message(password.dispatch(checks[i % 2])) == ResultOk(i % 2 == 0)
         assert decode_message(cleanroom.dispatch(uploads[i % 2])) == ResultOk(None)
     assert counts == {}
-    hash(CNF_TRUE)  # the counters are live
-    assert counts == {("CNF", "__hash__"): 1}
+    # the counters are live: one new label, and one uncached flow check on it
+    counted = DCLabel(cnf({"counted-principal"}), CNF_TRUE)
+    can_flow_to.__wrapped__(counted, DC_TOP)
+    assert counts == {"cnf_reduce": 1, "_intern": 1, "cnf_implies": 2}
 
 
 def test_stored_rows_share_their_labels_in_memory():

@@ -87,6 +87,16 @@ def test_config_rejects_bad_values(tmp_path):
             RunConfig.from_file(p)
 
 
+@pytest.mark.parametrize("name", ["", "P\x00"], ids=["empty", "nul"])
+def test_a_provider_name_the_labels_refuse_is_a_usage_error(tmp_path, capsys, name):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"app": "cleanroom", "providers": [name, "P2"]}))
+    with pytest.raises(UsageError, match="^config key providers: principal name must"):
+        RunConfig.from_file(p)
+    assert main(["client", "--role", "P2", "--config", str(p), "--port", "7999"]) == 2
+    assert capsys.readouterr().err.startswith("error: config key providers:")
+
+
 def test_flag_coherence_rejected_by_config_validation(capsys):
     # RunConfig.validate is the one place that requires attestation for
     # client signatures, for flags and config keys alike
@@ -233,6 +243,7 @@ def test_provision_writes_cleanroom_keyset(tmp_path, capsys):
     assert "authority_private.hex" in files and "C1_exchange_public.hex" in files
     printed = capsys.readouterr().out
     assert "authority:" in printed and "C1 exchange:" in printed
+    assert printed.endswith(f"10 key files in {out}\n")
     # the written private keys actually load
     key = load_signing_private(out / "P1_signing_private.hex")
     key.public_key().verify(key.sign(b"check"), b"check")
@@ -286,6 +297,32 @@ def test_provision_writes_private_keys_for_their_owner_only(tmp_path, capsys):
         assert len(written) == 6
         for name, mode in written.items():
             assert mode == (0o600 if name.endswith("_private.hex") else 0o644), name
+
+
+@pytest.mark.parametrize(
+    "flag, names",
+    [
+        ("--clients", "user,user"),
+        ("--clients", "user, P1 ,user"),
+        ("--exchange", "C1,C1"),
+        ("--clients", "../escaped"),
+        ("--clients", "a/b"),
+        ("--clients", "."),
+        ("--exchange", ".."),
+        ("--exchange", "C\x00"),
+    ],
+    ids=["repeated", "repeated-spaced", "repeated-exchange", "parent", "nested", "dot", "dotdot"]
+    + ["nul"],
+)
+def test_provision_refuses_a_repeated_name_or_one_that_is_no_file_name(
+    tmp_path, capsys, flag, names
+):
+    # each name becomes key file names: a repeat overwrote the first key, and
+    # a path wrote outside --out or failed after the authority key was written
+    out = tmp_path / "keys"
+    assert main(["provision", "--out", str(out), flag, names]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+    assert list(tmp_path.rglob("*")) == []
 
 
 # (config key, app, the command that loads it)

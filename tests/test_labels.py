@@ -47,6 +47,7 @@ from enclaveflow.labels import (
     meet,
     read_cnf,
     read_label,
+    sole_principal,
 )
 from label_oracle import (
     enumerate_canonical_cnfs,
@@ -78,7 +79,7 @@ def random_cnf(rng: random.Random, names: list[str]) -> CNF:
         frozenset(rng.sample(names, rng.randint(1, len(names))))
         for _ in range(n_clauses)
     )
-    return cnf_reduce(CNF(clauses))
+    return cnf_reduce(clauses)
 
 
 # --- canonical universes ----------------------------------------------------
@@ -146,11 +147,9 @@ def test_reduce_preserves_meaning_and_is_idempotent():
     names = ["A", "B", "C", "D"]
     for _ in range(300):
         n_clauses = rng.randint(0, 5)
-        raw = CNF(
-            frozenset(
-                frozenset(rng.sample(names, rng.randint(0, len(names))))
-                for _ in range(n_clauses)
-            )
+        raw = frozenset(
+            frozenset(rng.sample(names, rng.randint(0, len(names))))
+            for _ in range(n_clauses)
         )
         reduced = cnf_reduce(raw)
         assert oracle_equivalent(raw, reduced)
@@ -158,7 +157,7 @@ def test_reduce_preserves_meaning_and_is_idempotent():
 
 
 def test_reduce_collapses_empty_clause():
-    messy = CNF(frozenset({frozenset(), frozenset({"A"})}))
+    messy = frozenset({frozenset(), frozenset({"A"})})
     assert cnf_reduce(messy) == CNF_FALSE
 
 
@@ -172,10 +171,7 @@ def test_reduce_drops_superset_clauses():
 
 names_st = st.sampled_from(["A", "B", "C"])
 clause_st = st.frozensets(names_st, min_size=1, max_size=3)
-cnf_st = st.builds(
-    lambda groups: cnf_reduce(CNF(groups)),
-    st.frozensets(clause_st, max_size=4),
-)
+cnf_st = st.builds(cnf_reduce, st.frozensets(clause_st, max_size=4))
 
 
 @given(cnf_st, cnf_st)
@@ -301,10 +297,10 @@ def _check_against_oracle(p: Privilege, l1: DCLabel, l2: DCLabel) -> None:
         )
     # downgrade(p, l1) is the label that flows exactly where p lets l1 flow
     d = downgrade(p, l1)
-    pd = p.description.clauses
+    pd = p.description
     for m in LABELS_TWO:
-        privileged = oracle_implies(CNF(pd | m.secrecy.clauses), l1.secrecy) and oracle_implies(
-            CNF(pd | l1.integrity.clauses), m.integrity
+        privileged = oracle_implies(pd | m.secrecy, l1.secrecy) and oracle_implies(
+            pd | l1.integrity, m.integrity
         )
         assert oracle_can_flow_to(d, m) == privileged
 
@@ -342,7 +338,7 @@ def test_label_caches_stay_bounded_under_distinct_labels():
 
 def _rebuilt(a: CNF) -> CNF:
     """An equal CNF sharing no object with ``a``."""
-    return CNF(frozenset(frozenset(n for n in c) for c in a.clauses))
+    return frozenset(frozenset(n for n in c) for c in a)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -407,12 +403,26 @@ def test_a_pickled_label_is_found_under_another_hash_seed():
     assert run(_FIND_LABEL, "2", pickled) != run(_FIND_LABEL, "3", pickled)
 
 
+def test_a_formula_is_a_builtin_frozenset_of_clauses():
+    svc = cnf_from_principal("svc")
+    assert type(svc) is frozenset and svc == frozenset({frozenset({"svc"})})
+    assert CNF_TRUE == frozenset() and CNF_FALSE == frozenset({frozenset()})
+    assert repr(CNF_TRUE) == "frozenset()"
+    assert pickle.loads(pickle.dumps(svc)) == svc
+    # the labels built on them keep their own notation
+    assert repr(DC_BOTTOM) == "<True,False>" and repr(DC_TOP) == "<False,True>"
+    assert repr(DCLabel(cnf({"b", "a"}, {"c"}), svc)) == "<{{a,b},{c}},{{svc}}>"
+    assert repr(Privilege(CNF_FALSE)) == "Privilege(False)"
+
+
 def test_sole_principal():
-    assert cnf_from_principal("P1").sole_principal() == "P1"
-    assert CNF_TRUE.sole_principal() is None
-    assert CNF_FALSE.sole_principal() is None
-    assert cnf({"P1", "P2"}).sole_principal() is None  # either
-    assert cnf({"P1"}, {"P2"}).sole_principal() is None  # joint
+    assert sole_principal(cnf_from_principal("P1")) == "P1"
+    assert sole_principal(decode_cnf(encode_cnf(cnf({"ω"})))) == "ω"
+    assert sole_principal(CNF_TRUE) is None
+    assert sole_principal(CNF_FALSE) is None
+    assert sole_principal(cnf({"P1", "P2"})) is None  # either
+    assert sole_principal(cnf({"P1"}, {"P2"})) is None  # joint
+    assert sole_principal(cnf({"P1"}, {"P2", "P3"})) is None  # a singleton and more
 
 
 # --- wire encoding ------------------------------------------------------------
@@ -543,7 +553,7 @@ def test_principal_validation():
 def test_the_encoder_refuses_a_name_no_decoder_accepts(name):
     # a CNF built by hand skips cnf()'s check; the encoder checks again, so
     # nothing encoded here is undecodable
-    hand_built = CNF(frozenset({frozenset({"Alice", name})}))
+    hand_built = frozenset({frozenset({"Alice", name})})
     with pytest.raises(LabelError, match="^principal name must"):
         encode_cnf(hand_built)
     with pytest.raises(LabelError, match="^principal name must"):
@@ -757,7 +767,7 @@ def test_a_huge_clause_count_with_no_clauses_fails_at_once():
 
 
 def singleton_clauses(n: int) -> CNF:
-    return CNF(frozenset(frozenset({f"p{i:04}"}) for i in range(n)))
+    return frozenset(frozenset({f"p{i:04}"}) for i in range(n))
 
 
 def singleton_clauses_encoded(n: int) -> bytes:

@@ -15,8 +15,6 @@ from enclaveflow.cli import RunConfig
 from enclaveflow.errors import ErrorCode
 from enclaveflow.ifc import IfcContext, LabeledRef
 from enclaveflow.labels import (
-    CNF,
-    CNF_FALSE,
     DC_PUBLIC,
     DC_TOP,
     EMPTY_PRIVILEGE,
@@ -30,45 +28,50 @@ from enclaveflow.wire import CallMessage, ResultErr, ResultOk
 SVC_CNF = cnf_from_principal("svc")
 SVC = DCLabel(SVC_CNF, SVC_CNF)
 
-# (record, its field names, its repr)
+# (record, its field names, its repr), each row named for its class and
+# the number it has always had, so adding or deleting a row renames no case
 RECORDS = [
-    (SVC_CNF, ("clauses",), "{{svc}}"),
-    (CNF_FALSE, ("clauses",), "False"),
-    (SVC, ("secrecy", "integrity"), "<{{svc}},{{svc}}>"),
-    (Privilege(SVC_CNF), ("description",), "Privilege({{svc}})"),
-    (
+    pytest.param(SVC, ("secrecy", "integrity"), "<{{svc}},{{svc}}>", id="DCLabel-4"),
+    pytest.param(Privilege(SVC_CNF), ("description",), "Privilege({{svc}})", id="Privilege-5"),
+    pytest.param(
         LabeledValue(SVC, "hunter2"),
         ("label", "value"),
         "LabeledValue(label=<{{svc}},{{svc}}>, value='hunter2')",
+        id="LabeledValue-6",
     ),
-    (CallMessage(7, [1, "a"]), ("call_id", "args"), "CallMessage(call_id=7, args=[1, 'a'])"),
-    (
+    pytest.param(
+        CallMessage(7, [1, "a"]),
+        ("call_id", "args"),
+        "CallMessage(call_id=7, args=[1, 'a'])",
+        id="CallMessage-7",
+    ),
+    pytest.param(
         ResultOk(LabeledValue(SVC, "hunter2")),  # the reply that leaked before the result gate
         ("value",),
         "ResultOk(value=LabeledValue(label=<{{svc}},{{svc}}>, value='hunter2'))",
+        id="ResultOk-8",
     ),
-    (
+    pytest.param(
         ResultErr(ErrorCode.IFC_VIOLATION, "information flow violation"),
         ("code", "message"),
         "ResultErr(code=<ErrorCode.IFC_VIOLATION: 1>, message='information flow violation')",
+        id="ResultErr-9",
     ),
-    (
+    pytest.param(
         SecureRef(3, 2, (b"\x05",)),
         ("call_id", "arity", "args"),
         "SecureRef(call_id=3, arity=2, args=(b'\\x05',))",
+        id="SecureRef-10",
     ),
-    (Row("flu", 30), ("strain", "age"), "Row(strain='flu', age=30)"),
+    pytest.param(Row("flu", 30), ("strain", "age"), "Row(strain='flu', age=30)", id="Row-11"),
 ]
-# numbered from 2, as they were when rows 0 and 1 held the principal and
-# clause records, so every case keeps its name
-IDS = [type(r).__name__ + "-" + str(i) for i, (r, _, _) in enumerate(RECORDS, start=2)]
 
 
 def fields_of(record, names) -> tuple:
     return tuple(getattr(record, n) for n in names)
 
 
-@pytest.mark.parametrize("record, names, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("record, names, text", RECORDS)
 def test_a_record_refuses_every_assignment(record, names, text):
     before = fields_of(record, names)
     for name in (*names, "extra"):
@@ -79,7 +82,7 @@ def test_a_record_refuses_every_assignment(record, names, text):
     assert fields_of(record, names) == before
 
 
-@pytest.mark.parametrize("record, names, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("record, names, text", RECORDS)
 def test_a_record_pickles_to_an_equal_value_with_an_equal_hash(record, names, text):
     again = pickle.loads(pickle.dumps(record))
     assert type(again) is type(record) and again == record and not again != record
@@ -88,7 +91,7 @@ def test_a_record_pickles_to_an_equal_value_with_an_equal_hash(record, names, te
         assert hash(again) == hash(record)
 
 
-@pytest.mark.parametrize("record, names, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("record, names, text", RECORDS)
 def test_a_record_equals_only_its_own_class(record, names, text):
     twin_class = type("Twin" + type(record).__name__, (type(record),), {})
     twin = twin_class(*fields_of(record, names))
@@ -100,15 +103,14 @@ def test_a_record_equals_only_its_own_class(record, names, text):
         assert record != values[0]
 
 
-@pytest.mark.parametrize("record, names, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("record, names, text", RECORDS)
 def test_a_record_keeps_its_repr(record, names, text):
     assert repr(record) == text
 
 
 def test_records_of_two_classes_with_equal_fields_differ():
-    empty = frozenset()
-    assert ResultOk(empty) != CNF(empty)
-    assert CNF(empty) != ResultOk(empty)
+    assert ResultErr(7, "a") != CallMessage(7, "a")
+    assert CallMessage(7, "a") != ResultErr(7, "a")
     assert ResultOk(1) != (1,) and (1,) != ResultOk(1)
     assert LabeledValue(SVC, 1) != CallMessage(SVC, 1)
 
@@ -120,7 +122,7 @@ def test_record_equality_is_field_by_field():
     nan = float("nan")
     assert ResultOk(nan) == ResultOk(nan)  # one float object, as in a tuple
     assert ResultOk(nan) != ResultOk(float("nan"))
-    a_twin = CNF(frozenset({frozenset({"a"})}))
+    a_twin = frozenset({frozenset({"a"})})
     assert {cnf_from_principal("a"), a_twin, cnf_from_principal("b")} == {
         cnf_from_principal("b"),
         cnf_from_principal("a"),

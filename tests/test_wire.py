@@ -13,7 +13,6 @@ from enclaveflow.app import ENCLAVE_ROLE, App
 from enclaveflow.errors import DecodeError, ErrorCode
 from enclaveflow.ifc import IfcContext, make_labeled
 from enclaveflow.labels import (
-    CNF,
     CNF_FALSE,
     CNF_TRUE,
     DC_PUBLIC,
@@ -136,9 +135,7 @@ cnf_st = st.one_of(
     st.frozensets(
         st.frozensets(st.sampled_from(["Alice", "Bob", "P1", "ω"]), min_size=1, max_size=3),
         max_size=3,
-    ).map(
-        lambda groups: cnf_reduce(CNF(groups))
-    ),
+    ).map(cnf_reduce),
 )
 label_st = st.builds(DCLabel, cnf_st, cnf_st)
 float_st = st.one_of(

@@ -28,7 +28,7 @@ def random_cnf(rng: random.Random) -> CNF:
         frozenset(rng.sample(NAMES, rng.randint(1, 3)))
         for _ in range(rng.randint(0, 2))
     )
-    return cnf_reduce(CNF(clauses))
+    return cnf_reduce(clauses)
 
 
 def random_label(rng: random.Random) -> DCLabel:
