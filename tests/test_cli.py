@@ -27,7 +27,6 @@ from enclaveflow.attest import (
     save_key_hex,
 )
 from enclaveflow.cli import (
-    BENCH_CONFIGS,
     RunConfig,
     build_parser,
     build_password_program,
@@ -37,10 +36,10 @@ from enclaveflow.cli import (
     _code_version,
     _load_config,
     _measurement_config_bytes,
-    _probe_measurement,
 )
 from enclaveflow.errors import UsageError
 from enclaveflow.labels import can_flow_to, cnf_implies, cnf_reduce, downgrade, join
+from enclaveflow.tools import BENCH_CONFIGS, _probe_measurement
 from enclaveflow.wire import ResultOk, decode_message, encode_call
 
 PYTHON = [sys.executable, "-m", "enclaveflow.cli"]
@@ -85,6 +84,20 @@ def test_config_rejects_bad_values(tmp_path):
         p.write_text(json.dumps(raw))
         with pytest.raises(UsageError):
             RunConfig.from_file(p)
+
+
+@pytest.mark.parametrize(
+    "thresholds", [{"p1": 100}, {"P1": -1}], ids=["not-a-provider", "negative"]
+)
+def test_a_threshold_no_provider_can_meet_is_a_usage_error(tmp_path, capsys, thresholds):
+    # runquery reads a threshold by provider name, so a mistyped key would
+    # leave P1 at the default of one row without a word
+    with pytest.raises(UsageError, match="^config key thresholds:"):
+        RunConfig(app="cleanroom", thresholds=thresholds).validate()
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"app": "cleanroom", "thresholds": thresholds}))
+    assert main(["enclave", "--config", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: config key thresholds:")
 
 
 @pytest.mark.parametrize("name", ["", "P\x00"], ids=["empty", "nul"])
@@ -200,7 +213,7 @@ def test_per_call_handshake_flag_reaches_run_app(monkeypatch, flag, refused):
     def fake_run_app(role, program, **kwargs):
         seen.update(kwargs, role=role)
 
-    monkeypatch.setattr("enclaveflow.cli.run_app", fake_run_app)
+    monkeypatch.setattr("enclaveflow.tools.run_app", fake_run_app)
     argv = ["client", "--role", "user", "--port", "7000", "--no-attestation", "--no-client-sig"]
     if refused:
         with pytest.raises(SystemExit) as exc:
@@ -738,16 +751,16 @@ def test_bench_times_each_sample_as_one_gateway_call(monkeypatch, capsys):
 
 
 def test_bench_signs_only_where_the_enclave_verifies(monkeypatch, capsys):
-    import enclaveflow.cli as cli
+    import enclaveflow.tools as tools
 
     seen = set()
-    real = cli.connect_channel
+    real = tools.connect_channel
 
     def spy(host, port, **kw):
         seen.add((kw["attested"], kw["signing_key"] is not None))
         return real(host, port, **kw)
 
-    monkeypatch.setattr(cli, "connect_channel", spy)
+    monkeypatch.setattr(tools, "connect_channel", spy)
     assert main(["bench", "--iterations", "1"]) == 0
     # plain rows, attested rows without client signatures, the signed row
     assert seen == {(False, False), (True, False), (True, True)}
@@ -789,30 +802,40 @@ NOT_IN_ANY_ENCLAVE = {
     "cryptography.hazmat.primitives.kdf.hkdf",
 }
 
-STAGE_ONLY = """
+# the enclave command as the bench and the installed script start it, up to
+# ENCLAVE LISTENING; then it prints the modules it holds instead of serving
+ENCLAVE_MODULES = """
 import sys
 from enclaveflow import cli
-from enclaveflow.attest import gen_signing_key
+from enclaveflow.attest import Monitor
 
-cfg = cli.RunConfig(app=sys.argv[1], port=0, consumer_public_key=sys.argv[2])
-cli._stage_enclave(cfg, gen_signing_key(), {}).listener.close()
-print("\\n".join(sorted(sys.modules)))
+Monitor.serve_forever = lambda monitor: print("\\n".join(sorted(sys.modules)))
+sys.exit(cli.main(["enclave", "--config", sys.argv[1], "--port", "0"]))
 """
 
 
-@pytest.mark.parametrize("app", ["password-checker", "cleanroom"])
-def test_a_staged_enclave_loads_only_the_modules_it_runs(tmp_path, app):
-    consumer_public = tmp_path / "C1_exchange_public.hex"
-    consumer_public.write_text(bytes(range(1, 33)).hex() + "\n")
+@pytest.mark.parametrize("app", ["password-checker", "attack-demo", "cleanroom"])
+def test_a_staged_enclave_loads_only_the_modules_it_runs(tmp_path, capsys, app):
+    assert main(["provision", "--out", str(tmp_path), "--clients", "", "--exchange", "C1"]) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "app": app,
+        "authority_private": str(tmp_path / "authority_private.hex"),
+        "consumer_public_key": str(tmp_path / "C1_exchange_public.hex"),
+    }))
     proc = subprocess.run(
-        [sys.executable, "-c", STAGE_ONLY, app, str(consumer_public)],
+        [sys.executable, "-c", ENCLAVE_MODULES, str(config)],
         capture_output=True,
         timeout=60,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    loaded = set(proc.stdout.decode().split())
-    assert "enclaveflow.attest" in loaded
+    announcement, *modules = proc.stdout.decode().splitlines()
+    assert announcement.startswith("ENCLAVE LISTENING ")
+    loaded = set(modules)
+    assert {"enclaveflow.attest", "enclaveflow.cli"} <= loaded
     assert loaded & NOT_IN_ANY_ENCLAVE == set()
+    # the client tools stay out of every enclave
+    assert "enclaveflow.tools" not in loaded
     # a password checker never even compiles the clean room
     assert ("enclaveflow.cleanroom" in loaded) == (app == "cleanroom")
